@@ -28,7 +28,7 @@ CROSS_SUM_CAP = 100_000
 
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-11
-_POINT_BLOCK = 1024
+_POINT_BLOCK = 128  # score rows per grid-backup block, cache-sized
 
 
 class CapacityError(RuntimeError):
@@ -92,8 +92,10 @@ class ExactVF:
 class GridVF:
     """Point-based value function: one backed-up alpha vector per grid point.
 
-    The envelope of ``vectors`` is a convex lower bound on the exact value
-    function everywhere and matches ``values`` at the grid points.
+    ``vectors`` holds the distinct backed-up vectors, at most one per grid
+    point; ``point_vector`` maps each point to its row.  Their envelope is a
+    convex lower bound on the exact value function everywhere and matches
+    ``values`` at the grid points.
     """
 
     beliefs: np.ndarray          # (P, X)
@@ -268,8 +270,8 @@ def _pointwise_filter(cands: np.ndarray, eps: float = 0.0) -> np.ndarray:
     already-kept rows only, so every removed row has a *kept* witness within
     eps of it coordinatewise — the envelope drops by at most eps in total
     regardless of how many rows go, with no chained slack.  With eps > 0
-    this also collapses clusters of near-parallel rows (e.g. alpha vectors
-    of consecutive value-iteration sweeps) to a single representative.
+    this also collapses clusters of near-parallel rows to a single
+    representative.
     """
     order = np.argsort(-cands.sum(axis=1), kind="stable")
     kept_rows = np.empty_like(cands)
@@ -578,24 +580,22 @@ def _grid_backup(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray):
     the current envelope, keeping the maximizing action's alpha vector."""
     num_points = beliefs.shape[0]
     num_obs, num_actions = m.num_obs, m.num_actions
-    q_all = np.empty((num_actions, num_points))
-    best_idx = np.empty((num_actions, num_obs, num_points), dtype=np.int64)
+    q_all = beliefs @ m.reward.T                             # (P, U)
+    best_idx = np.empty((num_points, num_actions, num_obs), dtype=np.int64)
     projections: dict[tuple[int, int], np.ndarray] = {}
     for u in range(num_actions):
-        total = beliefs @ m.reward[u]
         for y in range(num_obs):
             proj = m.discount * (
                 (vectors * m.observation[u][:, y][None, :]) @ m.transition[u].T)
             projections[u, y] = proj
             for start in range(0, num_points, _POINT_BLOCK):
-                block = slice(start, min(start + _POINT_BLOCK, num_points))
-                scores = proj @ beliefs[block].T             # (M, b)
-                idx = np.argmax(scores, axis=0)
-                best_idx[u, y, block] = idx
-                total[block] += scores[idx, np.arange(idx.size)]
-        q_all[u] = total
-    acts = np.argmax(q_all, axis=0)
-    values = q_all[acts, np.arange(num_points)]
+                stop = min(start + _POINT_BLOCK, num_points)
+                scores = beliefs[start:stop] @ proj.T        # (b, M)
+                idx = np.argmax(scores, axis=1)
+                best_idx[start:stop, u, y] = idx
+                q_all[start:stop, u] += scores[np.arange(idx.size), idx]
+    acts = np.argmax(q_all, axis=1)
+    values = q_all[np.arange(num_points), acts]
     alphas = np.empty((num_points, m.num_states))
     for u in range(num_actions):
         sel = np.flatnonzero(acts == u)
@@ -603,7 +603,7 @@ def _grid_backup(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray):
             continue
         alpha_u = np.tile(m.reward[u], (sel.size, 1))
         for y in range(num_obs):
-            alpha_u += projections[u, y][best_idx[u, y, sel]]
+            alpha_u += projections[u, y][best_idx[sel, u, y]]
         alphas[sel] = alpha_u
     return values, alphas, acts
 
@@ -613,10 +613,11 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
                max_iter: int = 100_000) -> GridVF:
     """Point-based value iteration on the barycentric belief grid.
 
-    Keeps one backed-up alpha vector per grid point; the resulting envelope
-    is a convex lower bound on the exact value function (each backup is an
-    exact Bellman backup of a lower approximation), exact at grid points for
-    the horizon solved.
+    Each sweep backs up every grid point against the carried set, which is
+    the distinct backed-up vectors of the previous sweep, at most one per
+    grid point.  The resulting envelope is a convex lower bound on the exact
+    value function (each backup is an exact Bellman backup of a lower
+    approximation), exact at grid points for the horizon solved.
     """
     _mode_or_error(horizon, residual)
     beliefs = belief_grid(m.num_states, resolution)
@@ -625,13 +626,6 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
     actions = np.zeros(1, dtype=int)
     point_vector = np.zeros(num_points, dtype=int)
     values = np.zeros(num_points)
-    # Carried vectors feed the next backup only through the per-(u, y)
-    # projections rho * (G * B[:, y]) @ P.T, so dominance within eps in that
-    # stacked projection space is enough to drop a vector: each slot's max
-    # falls by at most eps and each backed-up value by at most Y * eps.
-    trim_map = np.hstack([
-        m.discount * m.observation[u][:, y][:, None] * m.transition[u].T
-        for u in range(m.num_actions) for y in range(m.num_obs)])
     history: list[float] = []
     last_res = float("inf")
     best_res = float("inf")
@@ -642,9 +636,6 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
             break
         if horizon is None and iterations >= max_iter:
             raise ArithmeticError("grid value iteration failed to converge")
-        if vectors.shape[0] > 512:
-            kept = _pointwise_filter(vectors @ trim_map, PRUNE_EPS)
-            vectors, actions = vectors[kept], actions[kept]
         new_values, alphas, acts = _grid_backup(m, vectors, beliefs)
         last_res = float(np.abs(new_values - values).max())
         history.append(last_res)

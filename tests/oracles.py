@@ -171,3 +171,26 @@ def random_model(rng: np.random.Generator, num_states: int, num_obs: int,
 
 def random_belief(rng: np.random.Generator, num_states: int) -> np.ndarray:
     return rng.dirichlet(np.ones(num_states))
+
+
+# ---------------------------------------------------------------------------
+# Point-based Bellman backup, one belief at a time
+# ---------------------------------------------------------------------------
+
+def point_backup_q(m: PomdpModel, vectors: np.ndarray,
+                   probs: np.ndarray) -> np.ndarray:
+    """Per-action Q of one belief against a fixed set of alpha vectors.
+
+    Q_u(pi) = r_u'pi + sum_y max_alpha rho * alpha'(B_u[:, y] * P_u'pi),
+    evaluated with explicit loops over actions, observations and vectors.
+    """
+    q = np.empty(m.num_actions)
+    for u in range(m.num_actions):
+        predicted = m.transition[u].T @ probs
+        total = float(m.reward[u] @ probs)
+        for y in range(m.num_obs):
+            weighted = m.observation[u][:, y] * predicted
+            total += max(m.discount * float(alpha @ weighted)
+                         for alpha in vectors)
+        q[u] = total
+    return q

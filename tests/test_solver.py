@@ -8,10 +8,10 @@ from pomdpcheck import (CapacityError, belief_grid, gen_example,
                         gamma_monotone_report, make_model, myopic_policy_at,
                         optimal_policy_at, prune, q_values, solve_exact,
                         solve_grid, value_at, vf_to_dict, vi_exact_step)
-from pomdpcheck.solver import ExactVF
+from pomdpcheck.solver import _POINT_BLOCK, ExactVF, _grid_backup
 
-from oracles import (envelope_on_grid, expectimax_value, random_belief,
-                     random_model)
+from oracles import (envelope_on_grid, expectimax_value, point_backup_q,
+                     random_belief, random_model)
 
 
 def zero_vf(num_states):
@@ -75,6 +75,12 @@ def test_capacity_error_raised():
         vi_exact_step(m, vf, cap=3)
 
 
+def test_exact_residual_mode_reaches_its_residual():
+    vf = solve_exact(gen_example("ex1"), residual=1e-3, resolution=10)
+    assert max(vf.residuals[-1], vf.grid_residuals[-1]) <= 1e-3
+    assert len(vf.residuals) == vf.horizon
+
+
 # ---------------------------------------------------------------------------
 # Pruning
 # ---------------------------------------------------------------------------
@@ -121,6 +127,21 @@ def test_grid_vertices_only_undiscounted():
     for point, value in zip(vf.beliefs, vf.values):
         state = int(np.argmax(point))
         assert value == pytest.approx(best[state], abs=1e-12)
+
+
+def test_grid_backup_matches_pointwise_oracle():
+    rng = np.random.default_rng(42)
+    beliefs = belief_grid(3, 45)
+    assert beliefs.shape[0] > _POINT_BLOCK
+    for num_obs, num_actions in ((2, 2), (3, 2), (2, 3)):
+        m = random_model(rng, 3, num_obs, num_actions)
+        vectors = rng.uniform(-1.0, 2.0, (int(rng.integers(5, 30)), 3))
+        values, alphas, acts = _grid_backup(m, vectors, beliefs)
+        q = np.array([point_backup_q(m, vectors, pi) for pi in beliefs])
+        assert np.abs(values - q.max(axis=1)).max() <= 1e-12
+        assert np.abs(np.einsum("px,px->p", alphas, beliefs)
+                      - values).max() <= 1e-12
+        assert (q[np.arange(q.shape[0]), acts] >= q.max(axis=1) - 1e-12).all()
 
 
 def test_grid_never_exceeds_exact():
