@@ -28,6 +28,7 @@ CROSS_SUM_CAP = 100_000
 
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-11
+_NO_ROW = np.iinfo(np.int64).max  # tie-break filler: never the smallest basis index
 _POINT_BLOCK = 128  # score rows per grid-backup block, cache-sized
 
 
@@ -150,10 +151,14 @@ def _batch_margins(cands, refs):
     means v lies below the reference envelope everywhere.  Each margin is the
     value of a matrix game; shifting payoffs positive and solving the dual
     bounding LP max{1'q : Jq <= 1, q >= 0} keeps the tableau at X+1 rows and
-    starts from the all-slack basis, so no phase 1 is needed.  Pivots use the
-    steepest reduced cost at first and fall back to Bland's rule, which
-    guarantees termination.  Returns (margins, witnesses); each witness row
-    is a belief attaining its candidate's margin.
+    starts from the all-slack basis, so no phase 1 is needed.  For the first
+    200 sweeps each LP enters the column of greatest improvement, the one
+    whose reduced cost times ratio-test step raises the objective most;
+    after that it falls back to Bland's rule, which guarantees termination.
+    An LP with no improvable column is finished: its objective row is saved
+    and it leaves the working set, so later sweeps pivot only the LPs still
+    running.  Returns (margins, witnesses); each witness row is a belief
+    attaining its candidate's margin.
     """
     cands = np.atleast_2d(np.asarray(cands, dtype=float))
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
@@ -174,49 +179,56 @@ def _batch_margins(cands, refs):
     tableau[:, -1, :n_refs] = -1.0
     basis = np.tile(np.arange(n_refs, n_refs + n_states), (n_cand, 1))
 
-    active = np.arange(n_cand)
-    body_rows = np.arange(n_states)
-    all_rows = np.arange(n_states + 1)
+    ids = np.arange(n_cand)
+    final = np.empty((n_cand, n_cols))
     bland_after = 200
     max_iter = bland_after + 1000 + 20 * (n_refs + n_states)
     for sweep in range(max_iter):
-        rc = tableau[active, -1, :-1]
+        rc = tableau[:, -1, :-1]
         improvable = rc < -_RC_TOL
         has_move = improvable.any(axis=1)
-        active = active[has_move]
-        if active.size == 0:
-            break
+        if not has_move.all():
+            done = ~has_move
+            final[ids[done]] = tableau[done, -1]
+            tableau, basis, ids = tableau[has_move], basis[has_move], ids[has_move]
+            if ids.size == 0:
+                break
+            rc, improvable = rc[has_move], improvable[has_move]
+        body = tableau[:, :n_states, :-1]                    # (A, X, C)
+        rhs = tableau[:, :n_states, -1:]
+        positive = body > _PIVOT_TOL
+        ratios = np.where(positive, rhs / np.where(positive, body, 1.0), np.inf)
         if sweep < bland_after:
-            entering = np.argmin(rc[has_move], axis=1)       # steepest
+            # Greatest improvement: rc * step is minus the objective's rise
+            # if that column enters; +inf masks columns that cannot improve.
+            delta = np.multiply(rc, ratios.min(axis=1), where=improvable,
+                                out=np.full(rc.shape, np.inf))
+            entering = np.argmin(delta, axis=1)
         else:
-            entering = np.argmax(improvable[has_move], axis=1)   # Bland
+            entering = np.argmax(improvable, axis=1)         # Bland
 
-        col = tableau[active[:, None], body_rows[None, :], entering[:, None]]
-        rhs = tableau[active, :n_states, -1]
-        positive = col > _PIVOT_TOL
-        if not positive.any(axis=1).all():
-            raise ArithmeticError("margin game LP became unbounded")
-        ratios = np.where(positive, rhs / np.where(positive, col, 1.0), np.inf)
+        lanes = np.arange(ids.size)
+        ratios = ratios[lanes, :, entering]                  # (A, X)
         best = ratios.min(axis=1, keepdims=True)
-        tie_break = np.where(ratios <= best, basis[active], np.iinfo(np.int64).max)
+        if not np.isfinite(best).all():
+            raise ArithmeticError("margin game LP became unbounded")
+        tie_break = np.where(ratios <= best, basis, _NO_ROW)
         leaving = np.argmin(tie_break, axis=1)
 
-        pivot_row = tableau[active, leaving, :]
-        pivot_row /= pivot_row[np.arange(active.size), entering][:, None]
-        factors = tableau[active[:, None], all_rows[None, :], entering[:, None]]
-        sub = tableau[active]
-        sub -= factors[:, :, None] * pivot_row[:, None, :]
-        sub[np.arange(active.size), leaving, :] = pivot_row
-        tableau[active] = sub
-        basis[active, leaving] = entering
+        col = tableau[lanes, :, entering]                    # (A, X+1)
+        pivot_row = tableau[lanes, leaving, :]
+        pivot_row /= col[lanes, leaving][:, None]
+        tableau -= col[:, :, None] * pivot_row[:, None, :]
+        tableau[lanes, leaving, :] = pivot_row
+        basis[lanes, leaving] = entering
     else:
         raise ArithmeticError("margin game LP failed to converge")
 
-    objective = tableau[:, -1, -1]
+    objective = final[:, -1]
     if (objective <= 0.0).any():
         raise ArithmeticError("margin game LP returned a non-positive objective")
     margins = 1.0 / objective - shift
-    witness_raw = np.clip(tableau[:, -1, n_refs:n_refs + n_states], 0.0, None)
+    witness_raw = np.clip(final[:, n_refs:n_refs + n_states], 0.0, None)
     totals = witness_raw.sum(axis=1, keepdims=True)
     if (totals <= 0.0).any():
         raise ArithmeticError("margin game LP returned a degenerate witness")
@@ -237,24 +249,26 @@ def _certification_resolution(num_states: int) -> int:
 
 def _streaming_top2(rows: np.ndarray, points: np.ndarray, block: int = 8192):
     """Per evaluation point: index and value of the best row and the value of
-    the runner-up, computed in row blocks so memory stays bounded."""
+    the runner-up, computed in row blocks so memory stays bounded.  Each
+    block's values are laid out (P, b), points by rows, so the top-2
+    selection runs along contiguous rows."""
     num_points = points.shape[0]
     top_val = np.full(num_points, -np.inf)
     second = np.full(num_points, -np.inf)
     top_idx = np.zeros(num_points, dtype=np.int64)
+    points_idx = np.arange(num_points)
     for start in range(0, rows.shape[0], block):
-        vals = rows[start:start + block] @ points.T          # (b, P)
-        if vals.shape[0] == 1:
-            blk_top, blk_sec = vals[0], np.full(num_points, -np.inf)
+        vals = points @ rows[start:start + block].T          # (P, b)
+        if vals.shape[1] == 1:
+            blk_top, blk_sec = vals[:, 0], np.full(num_points, -np.inf)
             blk_idx = np.full(num_points, start, dtype=np.int64)
         else:
-            pick = np.argpartition(vals, -2, axis=0)[-2:]    # (2, P)
-            pair = np.take_along_axis(vals, pick, axis=0)
-            hi = np.argmax(pair, axis=0)
-            cols = np.arange(num_points)
-            blk_top = pair[hi, cols]
-            blk_sec = pair[1 - hi, cols]
-            blk_idx = pick[hi, cols] + start
+            pick = np.argpartition(vals, -2, axis=1)[:, -2:]    # (P, 2)
+            pair = np.take_along_axis(vals, pick, axis=1)
+            hi = np.argmax(pair, axis=1)
+            blk_top = pair[points_idx, hi]
+            blk_sec = pair[points_idx, 1 - hi]
+            blk_idx = pick[points_idx, hi] + start
         better = blk_top > top_val
         second = np.where(better, np.maximum(top_val, blk_sec),
                           np.maximum(second, blk_top))

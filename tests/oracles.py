@@ -9,6 +9,8 @@ or orders internals beyond the model container and belief update.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from pomdpcheck.model import PomdpModel, belief_grid
@@ -60,6 +62,41 @@ def grid_dominated(vectors: np.ndarray, index: int, resolution: int,
     values = pts @ vectors.T
     others = np.delete(values, index, axis=1)
     return bool((values[:, index] <= others.max(axis=1) + slack).all())
+
+
+def game_margin_oracle(v: np.ndarray, refs: np.ndarray) -> float:
+    """max over beliefs pi of min_w (v - w)'pi, by vertex enumeration.
+
+    The program max{t : (v - w)'pi >= t for every w, pi >= 0, 1'pi = 1}
+    over (pi, t) is a pointed polyhedron, so its optimum sits at a vertex:
+    the simplex equality plus X active constraints chosen from the R cuts
+    and the X bounds.  Every choice is solved as a square linear system;
+    feasible solutions are scored by min_w (v - w)'pi directly, so a badly
+    conditioned system can only lower the result, never raise it.  A
+    reference lying pointwise below another never attains the minimum on a
+    belief, so such references (and repeated copies) are dropped first.
+    """
+    refs = np.atleast_2d(np.asarray(refs, dtype=float))
+    order = np.arange(refs.shape[0])
+    geq = (refs[:, None, :] >= refs[None, :, :]).all(axis=2)   # w_k >= w_j
+    covers = geq & (~geq.T | (order[:, None] < order[None, :]))
+    diffs = np.asarray(v, dtype=float)[None, :] - refs[~covers.any(axis=0)]
+    num_refs, num_states = diffs.shape
+    rows = np.vstack([np.hstack([diffs, -np.ones((num_refs, 1))]),
+                      np.hstack([np.eye(num_states), np.zeros((num_states, 1))])])
+    simplex = np.append(np.ones(num_states), 0.0)
+    active = np.array(list(combinations(range(rows.shape[0]), num_states)))
+    systems = np.concatenate(
+        [np.broadcast_to(simplex, (active.shape[0], 1, num_states + 1)),
+         rows[active]], axis=1)                                # (K, X+1, X+1)
+    systems = systems[np.abs(np.linalg.det(systems)) > 1e-12]
+    rhs = np.zeros((systems.shape[0], num_states + 1, 1))
+    rhs[:, 0] = 1.0
+    pis = np.linalg.solve(systems, rhs)[:, :num_states, 0]
+    pis = pis[(pis >= -1e-12).all(axis=1)]
+    pis = np.clip(pis, 0.0, None)
+    pis /= pis.sum(axis=1, keepdims=True)
+    return float((pis @ diffs.T).min(axis=1).max())
 
 
 # ---------------------------------------------------------------------------

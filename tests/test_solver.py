@@ -8,10 +8,11 @@ from pomdpcheck import (CapacityError, belief_grid, gen_example,
                         gamma_monotone_report, make_model, myopic_policy_at,
                         optimal_policy_at, prune, q_values, solve_exact,
                         solve_grid, value_at, vf_to_dict, vi_exact_step)
-from pomdpcheck.solver import _POINT_BLOCK, ExactVF, _grid_backup
+from pomdpcheck.solver import (_POINT_BLOCK, ExactVF, _batch_margins,
+                               _grid_backup)
 
-from oracles import (envelope_on_grid, expectimax_value, point_backup_q,
-                     random_belief, random_model)
+from oracles import (envelope_on_grid, expectimax_value, game_margin_oracle,
+                     point_backup_q, random_belief, random_model)
 
 
 def zero_vf(num_states):
@@ -95,6 +96,33 @@ def test_prune_preserves_envelope():
         before = envelope_on_grid(vectors, 40)
         after = envelope_on_grid(pruned, 40)
         assert np.abs(before - after).max() <= 1e-9
+        # Every dropped vector is within eps of the kept envelope, and none
+        # of them rises clearly above all the other input vectors.
+        for i in np.setdiff1d(np.arange(n), kept):
+            assert game_margin_oracle(vectors[i], pruned) <= 1e-10 + 1e-9
+            others = np.delete(vectors, i, axis=0)
+            assert game_margin_oracle(vectors[i], others) <= 1e-6
+
+
+def test_batch_margins_match_vertex_oracle():
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        x, r = int(rng.integers(2, 5)), int(rng.integers(1, 9))
+        refs = rng.uniform(-1.0, 1.0, (r, x))
+        cands = rng.uniform(-1.0, 1.0, (20, x))
+        # A copy of a reference and a strictly dominated vector sit beside
+        # random ones, so LPs in one batch finish at different sweeps.
+        copy_at, dominated_at = rng.choice(20, size=2, replace=False)
+        cands[copy_at] = refs[int(rng.integers(r))]
+        cands[dominated_at] = refs.max(axis=0) - 0.5
+        margins, witnesses = _batch_margins(cands, refs)
+        expected = np.array([game_margin_oracle(v, refs) for v in cands])
+        assert np.abs(margins - expected).max() <= 1e-9
+        assert (witnesses >= 0.0).all()
+        assert np.abs(witnesses.sum(axis=1) - 1.0).max() <= 1e-12
+        attained = np.einsum("brx,bx->br", cands[:, None, :] - refs[None, :, :],
+                             witnesses).min(axis=1)
+        assert (attained >= margins - 1e-9).all()
 
 
 def test_prune_drops_strictly_dominated_and_duplicate_pieces():
