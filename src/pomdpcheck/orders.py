@@ -16,13 +16,13 @@ whose computation rests on an LP can also come back undetermined
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from . import lp
-from .model import Belief, belief_grid
+# belief_grid stays importable here: bench/selftest.py checks its aliases.
+from .model import Belief, belief_grid  # noqa: F401
 
 PAIR_TOL = 1e-12
 COPOSITIVE_MARGIN = 1e-9
@@ -161,25 +161,13 @@ def gamma_matrices(p1, p2) -> GammaMatrixSet:
     return GammaMatrixSet(matrices=out)
 
 
-@lru_cache(maxsize=16)
-def _copositivity_resolution(n: int) -> int:
-    """Simplex-grid resolution for n x n copositivity: 1/200 up to n = 4,
-    coarser above so the point count stays near two million."""
-    if n <= 4:
-        return 200
-    from math import comb
-    res = 200
-    while res > 2 and comb(res + n - 1, n - 1) > 2_000_000:
-        res -= 1
-    return res
-
-
 def _face_stationary_candidates(a: np.ndarray):
     """Stationary points of the quadratic form on every face of the simplex.
 
     Solving [[2A_F, 1], [1', 0]] [pi; lam] = [0; 1] on each support set F gives
-    every candidate interior minimizer; infeasible or singular faces are
-    skipped.  Used only to refine the grid minimum downward."""
+    every candidate minimizer in the relative interior of F; infeasible or
+    singular faces are skipped.  Every vertex is a one-point face whose
+    system is never singular, so at least n points are yielded."""
     n = a.shape[0]
     for size in range(1, n + 1):
         for face in combinations(range(n), size):
@@ -210,8 +198,14 @@ def is_copositive(matrix, margin: float = COPOSITIVE_MARGIN) -> OrderVerdict:
     """Is the quadratic form pi' A pi nonnegative over the whole belief simplex
     (within the verdict margin)?
 
-    1x1 and 2x2 use the exact closed form; larger matrices use a dense
-    barycentric grid refined with exact face-stationary points.
+    Exact: the minimum is taken over the stationary points of every face of
+    the simplex (``_face_stationary_candidates``), which contain a global
+    minimizer for three reasons.  The minimum of a quadratic form over the
+    simplex is attained at a KKT point in the relative interior of some
+    face.  If that face's KKT system is singular, the form is constant along
+    its null direction, so the minimizer extends to a smaller face with the
+    same value.  Every vertex is a one-point face, whose system is never
+    singular.
     """
     a = _mat(matrix, "matrix")
     n = a.shape[0]
@@ -221,28 +215,11 @@ def is_copositive(matrix, margin: float = COPOSITIVE_MARGIN) -> OrderVerdict:
         raise ValueError("matrix must be symmetric within 1e-9")
     a = 0.5 * (a + a.T)
 
-    if n == 1:
-        best_val, best_pt = float(a[0, 0]), np.array([1.0])
-    elif n == 2:
-        a11, a12, a22 = a[0, 0], a[0, 1], a[1, 1]
-        candidates = [(float(a11), np.array([1.0, 0.0])),
-                      (float(a22), np.array([0.0, 1.0]))]
-        denom = a11 - 2.0 * a12 + a22
-        if denom > 0.0:
-            t = (a11 - a12) / denom
-            if 0.0 < t < 1.0:
-                value = (a11 * a22 - a12 * a12) / denom
-                candidates.append((float(value), np.array([1.0 - t, t])))
-        best_val, best_pt = min(candidates, key=lambda c: c[0])
-    else:
-        pts = belief_grid(n, _copositivity_resolution(n))
-        form = np.einsum("ki,ij,kj->k", pts, a, pts)
-        k = int(np.argmin(form))
-        best_val, best_pt = float(form[k]), pts[k].copy()
-        for cand in _face_stationary_candidates(a):
-            value = float(cand @ a @ cand)
-            if value < best_val:
-                best_val, best_pt = value, cand
+    best_val, best_pt = np.inf, None
+    for cand in _face_stationary_candidates(a):
+        value = float(cand @ a @ cand)
+        if value < best_val:
+            best_val, best_pt = value, cand
 
     if best_val >= -margin:
         return OrderVerdict(holds=True)

@@ -277,42 +277,20 @@ def _streaming_top2(rows: np.ndarray, points: np.ndarray, block: int = 8192):
     return top_idx, top_val, second
 
 
-def _pointwise_filter(cands: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """Indices of rows not pointwise-dominated (within eps) by a kept row.
-
-    Scans in coordinate-sum-descending order and compares each row against
-    already-kept rows only, so every removed row has a *kept* witness within
-    eps of it coordinatewise — the envelope drops by at most eps in total
-    regardless of how many rows go, with no chained slack.  With eps > 0
-    this also collapses clusters of near-parallel rows to a single
-    representative.
-    """
-    order = np.argsort(-cands.sum(axis=1), kind="stable")
-    kept_rows = np.empty_like(cands)
-    kept_idx = np.empty(cands.shape[0], dtype=np.int64)
-    count = 0
-    for idx in order:
-        row = cands[idx]
-        if count and bool(
-                np.any(np.all(kept_rows[:count] >= row - eps, axis=1))):
-            continue
-        kept_rows[count] = row
-        kept_idx[count] = idx
-        count += 1
-    return np.sort(kept_idx[:count])
-
-
 def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     """Ascending indices of the vectors forming the upper envelope.
 
     A vector is kept iff some belief strictly prefers it to all the others
-    by more than eps.  Stages: exact dedupe; pointwise filter; grid-argmax
-    certification of clear winners (a vector beating every rival by > eps at
-    a grid point stays regardless of what else is removed); batched margin
-    LPs of the remaining pool against the certified set, removing candidates
-    whose margin is already <= eps and certifying winners whose witness
-    belief separates them from every live rival.  Vectors admitted only by
-    the forced-progress fallback are re-tested against the final set.
+    by more than eps.  Stages: exact dedupe; grid-argmax certification of
+    clear winners (a vector beating every rival by > eps at a grid point
+    stays regardless of what else is removed); then rounds over the
+    remaining pool, each dropping candidates that lie within eps of one
+    certified vector at every coordinate (pointwise dominance, without an
+    LP) and running batched margin LPs against the certified set, removing
+    candidates whose margin is already <= eps and certifying winners whose
+    witness belief separates them from every live rival.  Vectors admitted
+    only by the forced-progress fallback are re-tested against the final
+    set.
     """
     n_input = cands.shape[0]
     if n_input <= 1:
@@ -324,26 +302,17 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     if dedup.size == 1:
         return dedup
 
-    # The sequential pointwise scan only pays for itself on small sets; the
-    # margin LP subsumes it otherwise.
-    if cands_u.shape[0] <= 2048:
-        pw = _pointwise_filter(cands_u, eps)
-    else:
-        pw = np.arange(cands_u.shape[0])
-    cands_p = cands_u[pw]
-    n = cands_p.shape[0]
-    if n == 1:
-        return dedup[pw]
+    n = cands_u.shape[0]
 
     grid = belief_grid(cands.shape[1], _certification_resolution(cands.shape[1]))
-    top, top_vals, second = _streaming_top2(cands_p, grid)
+    top, top_vals, second = _streaming_top2(cands_u, grid)
     certified = np.unique(top[top_vals - second > eps])
 
     in_r = np.zeros(n, dtype=bool)
     in_r[certified] = True
     forced: list[int] = []
     if not in_r.any():
-        seed = int(np.argmax(cands_p.sum(axis=1)))
+        seed = int(np.argmax(cands_u.sum(axis=1)))
         in_r[seed] = True
         forced.append(seed)
     removed = np.zeros(n, dtype=bool)
@@ -351,7 +320,7 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
 
     num_states = cands.shape[1]
     while pool:
-        refs = cands_p[in_r]
+        refs = cands_u[in_r]
         progress = False
 
         # Cheap sound pre-drop: the margin against the set is at most the
@@ -360,7 +329,7 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
         pool_arr = np.asarray(pool)
         upper = np.empty(pool_arr.size)
         for start in range(0, pool_arr.size, 8192):
-            part = cands_p[pool_arr[start:start + 8192]]
+            part = cands_u[pool_arr[start:start + 8192]]
             gaps = (part[:, None, :] - refs[None, :, :]).max(axis=2)
             upper[start:start + part.shape[0]] = gaps.min(axis=1)
         cheap_drop = upper <= eps
@@ -379,7 +348,7 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
         for start in range(0, len(pool), chunk):
             part = pool[start:start + chunk]
             margins[start:start + len(part)], witnesses[start:start + len(part)] = \
-                _batch_margins(cands_p[part], refs)
+                _batch_margins(cands_u[part], refs)
 
         survivors: list[int] = []
         surv_pos: list[int] = []
@@ -395,7 +364,7 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
         if survivors:
             alive = np.flatnonzero(~removed)
             w_idx, w_val, w_sec = _streaming_top2(
-                cands_p[alive], witnesses[surv_pos])
+                cands_u[alive], witnesses[surv_pos])
             for t, cand_id in enumerate(survivors):
                 if int(alive[w_idx[t]]) == cand_id and w_val[t] - w_sec[t] > eps:
                     in_r[cand_id] = True
@@ -418,11 +387,11 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
         others = others[others != idx]
         if others.size == 0:
             continue
-        margin, _ = _batch_margins(cands_p[idx:idx + 1], cands_p[others])
+        margin, _ = _batch_margins(cands_u[idx:idx + 1], cands_u[others])
         if margin[0] <= eps:
             in_r[idx] = False
 
-    return dedup[pw[np.flatnonzero(in_r)]]
+    return dedup[np.flatnonzero(in_r)]
 
 
 def prune(vectors, eps: float = PRUNE_EPS):
@@ -591,9 +560,17 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
 
 def _grid_backup(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray):
     """One point-based backup: per grid point, the exact Bellman backup of
-    the current envelope, keeping the maximizing action's alpha vector."""
+    the current envelope, keeping the maximizing action's alpha vector.
+
+    Every (b, M) score block is written into one flat buffer allocated per
+    call, viewed contiguously as (b, M).  Allocating each block afresh makes
+    the allocator map and fault in new pages per block once a block
+    outgrows its mmap threshold, which can cost as much as the products.
+    """
     num_points = beliefs.shape[0]
     num_obs, num_actions = m.num_obs, m.num_actions
+    num_vectors = vectors.shape[0]
+    work = np.empty(min(_POINT_BLOCK, num_points) * num_vectors)
     q_all = beliefs @ m.reward.T                             # (P, U)
     best_idx = np.empty((num_points, num_actions, num_obs), dtype=np.int64)
     projections: dict[tuple[int, int], np.ndarray] = {}
@@ -604,7 +581,9 @@ def _grid_backup(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray):
             projections[u, y] = proj
             for start in range(0, num_points, _POINT_BLOCK):
                 stop = min(start + _POINT_BLOCK, num_points)
-                scores = beliefs[start:stop] @ proj.T        # (b, M)
+                scores = work[:(stop - start) * num_vectors].reshape(
+                    stop - start, num_vectors)                # (b, M)
+                np.matmul(beliefs[start:stop], proj.T, out=scores)
                 idx = np.argmax(scores, axis=1)
                 best_idx[start:stop, u, y] = idx
                 q_all[start:stop, u] += scores[np.arange(idx.size), idx]

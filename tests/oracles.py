@@ -169,6 +169,24 @@ def copositive3_closed_form(q: np.ndarray) -> bool:
             + f * np.sqrt(a) + np.sqrt(2.0 * alpha * beta * gamma)) >= 0.0
 
 
+def copositive_kaplan_oracle(q: np.ndarray) -> bool:
+    """Kaplan's test (Linear Algebra Appl. 313, 2000): a symmetric matrix is
+    copositive iff no principal submatrix has an eigenvector with all
+    entries positive whose eigenvalue is negative.  Every one of the
+    2^n - 1 principal submatrices is diagonalized; exact up to the
+    eigensolver for matrices with distinct eigenvalues."""
+    n = q.shape[0]
+    for size in range(1, n + 1):
+        for face in combinations(range(n), size):
+            idx = np.array(face)
+            eigvals, eigvecs = np.linalg.eigh(q[np.ix_(idx, idx)])
+            for k in np.flatnonzero(eigvals < 0.0):
+                vec = eigvecs[:, k]
+                if (vec > 0.0).all() or (vec < 0.0).all():
+                    return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Random instance builders (seeded numpy, shared by property suites)
 # ---------------------------------------------------------------------------

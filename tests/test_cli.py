@@ -9,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from pomdpcheck import gen_example, save_model
+from pomdpcheck import gamma_matrices, gen_example, save_model
 from pomdpcheck.cli import main
+
+from oracles import copositive_kaplan_oracle
 
 
 @pytest.fixture()
@@ -63,6 +65,20 @@ def test_check_reports_hypotheses(capsys, ex1_path):
     assert [v["holds"] for v in doc["a5_row_dominance"]] == [False]
     assert [v["holds"] for v in doc["blackwell"]] == [False]
     assert doc["statement1_applicable"] is True
+
+
+@pytest.mark.parametrize("num_states", [4, 5])
+def test_check_tridiagonal_copositivity_matches_kaplan(capsys, tmp_path,
+                                                       num_states):
+    model = gen_example("tridiagonal", num_states=num_states)
+    path = tmp_path / "tri.json"
+    save_model(model, path)
+    code, doc = run_json(capsys, ["check", str(path)])
+    assert code == 0
+    expected = [all(copositive_kaplan_oracle(g) for g in
+                    gamma_matrices(model.transition[u], model.transition[u + 1]))
+                for u in range(model.num_actions - 1)]
+    assert [v["holds"] for v in doc["a4_copositive_dominance"]] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -110,3 +110,36 @@ def test_random_programs_match_vertex_enumeration():
         assert out.objective == pytest.approx(expected, abs=1e-8)
         checked += 1
     assert checked == 60
+
+
+def test_random_programs_match_scipy_linprog():
+    """Status and objective against SciPy's HiGHS on random programs with
+    2-5 variables, some of them free, and a mix of equality and inequality
+    rows; the draw yields optimal, infeasible and unbounded programs."""
+    from scipy.optimize import linprog
+    codes = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    rng = np.random.default_rng(17)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(400):
+        n = int(rng.integers(2, 6))
+        m_ub, m_eq = int(rng.integers(0, 5)), int(rng.integers(0, 3))
+        if m_ub + m_eq == 0:
+            m_ub = 1
+        c = rng.uniform(-1.0, 1.0, n)
+        g = rng.uniform(-1.0, 1.0, (m_ub, n)) if m_ub else None
+        h = rng.uniform(-0.5, 1.5, m_ub) if m_ub else None
+        a = rng.uniform(-1.0, 1.0, (m_eq, n)) if m_eq else None
+        b = rng.uniform(-1.0, 1.0, m_eq) if m_eq else None
+        free = rng.random(n) < 0.3
+        ref = linprog(c, A_ub=g, b_ub=h, A_eq=a, b_eq=b,
+                      bounds=[(None, None) if f else (0.0, None) for f in free],
+                      method="highs")
+        assert ref.status in codes
+        out = lp_solve(LinearProgram(c=c, a_eq=a, b_eq=b, g_ub=g, h_ub=h,
+                                     free=free))
+        assert out.status == codes[ref.status]
+        if out.status == OPTIMAL:
+            assert out.objective == pytest.approx(ref.fun, abs=1e-8,
+                                                  rel=1e-8)
+        seen[out.status] += 1
+    assert min(seen.values()) >= 40, seen

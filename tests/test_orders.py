@@ -12,8 +12,8 @@ from pomdpcheck import (blackwell_dominates, check_a5, check_a7,
                         mlr_dominates, reverse_factorization)
 
 from oracles import (copositive2_closed_form, copositive3_closed_form,
-                     copositive_grid_oracle, fosd_oracle, mlr_oracle,
-                     random_stochastic, tp2_oracle)
+                     copositive_grid_oracle, copositive_kaplan_oracle,
+                     fosd_oracle, mlr_oracle, random_stochastic, tp2_oracle)
 
 
 def positive_vectors(n):
@@ -137,6 +137,57 @@ def test_copositive_verdict_consistent_with_grid_certificate():
             assert gmin >= -1e-9     # grid min can never undershoot a
         else:                        # nonnegative true minimum
             assert gmin <= 10.0 * np.abs(q).max() / 150 ** 2
+
+
+def _kaplan_boundary_shift(q):
+    """The diagonal shift s at which q + s*I turns copositive, bisected with
+    the Kaplan oracle alone: copositive at +bound (positive definite), not
+    at -bound (negative diagonal)."""
+    n = q.shape[0]
+    lo, hi = -(n * np.abs(q).max() + 1.0), n * np.abs(q).max() + 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if copositive_kaplan_oracle(q + mid * np.eye(n)):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_copositive_matches_kaplan_oracle():
+    """Face enumeration against Kaplan's eigenvector test on random symmetric
+    matrices, n = 2..5: raw, with a random nonnegative offset (often
+    copositive without being positive semidefinite), and diagonally shifted
+    to 1e-6 on either side of the copositivity boundary, where the form's
+    minimum is at least 1e-6 / n away from zero."""
+    rng = np.random.default_rng(2000)
+    delta = 1e-6
+    cases = []
+    for n in range(2, 6):
+        for _ in range(40):
+            q = rng.uniform(-1.0, 1.0, (n, n))
+            q = (q + q.T) / 2.0
+            cases.append(q)
+            cases.append(q + rng.uniform(0.0, 1.0) * np.ones((n, n)))
+        for _ in range(15):
+            q = rng.uniform(-1.0, 1.0, (n, n))
+            q = (q + q.T) / 2.0
+            s = _kaplan_boundary_shift(q)
+            cases.append(q + (s - delta) * np.eye(n))
+            cases.append(q + (s + delta) * np.eye(n))
+    verdicts = []
+    for q in cases:
+        expected = copositive_kaplan_oracle(q)
+        verdict = is_copositive(q)
+        assert verdict.holds == expected
+        if not expected:
+            point = np.array(verdict.witness["point"])
+            assert point.min() >= 0.0 and abs(point.sum() - 1.0) <= 1e-12
+            assert point @ q @ point == pytest.approx(
+                verdict.witness["value"], abs=1e-12)
+            assert verdict.witness["value"] < -1e-9
+        verdicts.append(expected)
+    assert 0.25 * len(cases) < sum(verdicts) < 0.75 * len(cases)
 
 
 def test_shared_transition_gives_trivial_copositive_dominance():

@@ -158,18 +158,38 @@ def test_grid_vertices_only_undiscounted():
 
 
 def test_grid_backup_matches_pointwise_oracle():
+    """Grid 45 (1081 points) spans several score blocks; grid 5 (21 points)
+    is smaller than one block and carries more vectors than points.  Two
+    calls with a growing carried set check that the second call's score
+    buffer leaves the first call's results untouched."""
     rng = np.random.default_rng(42)
-    beliefs = belief_grid(3, 45)
-    assert beliefs.shape[0] > _POINT_BLOCK
-    for num_obs, num_actions in ((2, 2), (3, 2), (2, 3)):
-        m = random_model(rng, 3, num_obs, num_actions)
-        vectors = rng.uniform(-1.0, 2.0, (int(rng.integers(5, 30)), 3))
+
+    def check(m, vectors, beliefs):
         values, alphas, acts = _grid_backup(m, vectors, beliefs)
         q = np.array([point_backup_q(m, vectors, pi) for pi in beliefs])
         assert np.abs(values - q.max(axis=1)).max() <= 1e-12
         assert np.abs(np.einsum("px,px->p", alphas, beliefs)
                       - values).max() <= 1e-12
         assert (q[np.arange(q.shape[0]), acts] >= q.max(axis=1) - 1e-12).all()
+        return values, alphas, acts
+
+    beliefs = belief_grid(3, 45)
+    assert beliefs.shape[0] > _POINT_BLOCK
+    for num_obs, num_actions in ((2, 2), (3, 2), (2, 3)):
+        m = random_model(rng, 3, num_obs, num_actions)
+        check(m, rng.uniform(-1.0, 2.0, (int(rng.integers(5, 30)), 3)),
+              beliefs)
+
+    small = belief_grid(3, 5)
+    assert small.shape[0] == 21 < _POINT_BLOCK
+    m = random_model(rng, 3, 3, 2)
+    vectors = rng.uniform(-1.0, 2.0, (40, 3))
+    first = check(m, vectors, small)
+    kept = [arr.copy() for arr in first]
+    check(m, np.vstack([vectors, rng.uniform(-1.0, 2.0, (25, 3))]), small)
+    check(m, vectors[:3], small)
+    for arr, copy in zip(first, kept):
+        assert np.array_equal(arr, copy)
 
 
 def test_grid_never_exceeds_exact():
