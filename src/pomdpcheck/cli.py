@@ -23,16 +23,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from .examples import gen_example, list_examples
 from .model import ModelFormatError, belief_grid, load_model, model_to_json, \
     validate_model
-from .solver import TIE_TOL, _q_batch, gamma_monotone_report, vf_to_dict
+from .solver import (TIE_TOL, _lowest_argmax, _mode_or_error, _q_batch,
+                     gamma_monotone_report, vf_to_dict)
 from .structural import (DEFAULT_RESIDUAL, SHAPE_TOL, RANGE_TOL,
-                         _myopic_actions, assumption_report, compare_models,
+                         assumption_report, compare_models,
                          solve_for_verification, verification_report)
 
 KNOWN_TOLERANCES = {
@@ -41,42 +39,6 @@ KNOWN_TOLERANCES = {
     "range": RANGE_TOL,    # posterior-range containment tolerance
     "gamma": 1e-10,        # alpha-vector coordinate monotonicity tolerance
 }
-
-
-@dataclass
-class RunConfig:
-    """Parsed command-line state shared by the model-driven commands."""
-    command: str
-    models: list[str] = field(default_factory=list)
-    grid: int = 100
-    horizon: int | None = None
-    residual: float | None = None
-    method: str | None = None
-    out: str | None = None
-    csv: str | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
-    name: str | None = None
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.grid < 1:
-            raise ValueError("--grid must be at least 1")
-        if self.horizon is not None and self.residual is not None:
-            raise ValueError("--horizon and --residual are mutually exclusive")
-        if self.horizon is None and self.residual is None:
-            self.residual = DEFAULT_RESIDUAL
-        if self.residual is not None and self.residual <= 0.0:
-            raise ValueError("--residual must be positive")
-        if self.horizon is not None and self.horizon < 0:
-            raise ValueError("--horizon must be nonnegative")
-        unknown = set(self.tolerances) - set(KNOWN_TOLERANCES)
-        if unknown:
-            raise ValueError(
-                f"unknown tolerance name(s): {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(KNOWN_TOLERANCES))}")
-
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, KNOWN_TOLERANCES[name])
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -92,8 +54,8 @@ def _write_policy_csv(path: str, m, vf, resolution: int, tie_tol: float) -> None
     beliefs = belief_grid(m.num_states, resolution)
     q = _q_batch(m, vf.vectors, beliefs)
     values = q.max(axis=1)
-    best = np.argmax(q >= values[:, None] - tie_tol, axis=1)
-    myopic = _myopic_actions(m, beliefs, tie_tol)
+    best = _lowest_argmax(q, tie_tol)
+    myopic = _lowest_argmax(beliefs @ m.reward.T, tie_tol)
     header = ([f"belief_{i + 1}" for i in range(m.num_states)]
               + ["value", "optimal_action", "myopic_action"]
               + [f"q_{u + 1}" for u in range(m.num_actions)])
@@ -108,48 +70,47 @@ def _write_policy_csv(path: str, m, vf, resolution: int, tie_tol: float) -> None
             writer.writerow(row)
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    m = load_model(cfg.models[0])
+def cmd_validate(args: argparse.Namespace) -> int:
+    m = load_model(args.model)
     violations = validate_model(m)
     _emit({"model": m.name, "valid": not violations,
-           "violations": violations}, cfg.out)
+           "violations": violations}, args.out)
     if violations:
         print(f"validate: {len(violations)} violation(s)", file=sys.stderr)
         return 2
     return 0
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    m = load_model(cfg.models[0])
+def cmd_check(args: argparse.Namespace) -> int:
+    m = load_model(args.model)
     report = assumption_report(m)
     doc = {"model": m.name, **report.to_dict()}
-    _emit(doc, cfg.out)
+    _emit(doc, args.out)
     return 0
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    m = load_model(cfg.models[0])
-    method = cfg.method or "exact"
-    vf = solve_for_verification(m, method=method, resolution=cfg.grid,
-                                horizon=cfg.horizon, residual=cfg.residual)
+def cmd_solve(args: argparse.Namespace) -> int:
+    m = load_model(args.model)
+    method = args.method or "exact"
+    vf = solve_for_verification(m, method=method, resolution=args.grid,
+                                horizon=args.horizon, residual=args.residual)
     doc = vf_to_dict(vf)
     doc["model"] = m.name
     doc["method"] = method
-    doc["gamma_monotone"] = gamma_monotone_report(vf, tol=cfg.tol("gamma"))
-    _emit(doc, cfg.out)
-    if cfg.csv:
-        _write_policy_csv(cfg.csv, m, vf, cfg.grid, cfg.tol("tie"))
+    doc["gamma_monotone"] = gamma_monotone_report(vf, tol=args.tol["gamma"])
+    _emit(doc, args.out)
+    if args.csv:
+        _write_policy_csv(args.csv, m, vf, args.grid, args.tol["tie"])
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    m = load_model(cfg.models[0])
-    method = cfg.method or "grid"
+def cmd_verify(args: argparse.Namespace) -> int:
+    m = load_model(args.model)
     report = verification_report(
-        m, resolution=cfg.grid, residual=cfg.residual, horizon=cfg.horizon,
-        method=method, tie_tol=cfg.tol("tie"), shape_tol=cfg.tol("shape"),
-        range_tol=cfg.tol("range"))
-    _emit(report, cfg.out)
+        m, resolution=args.grid, residual=args.residual, horizon=args.horizon,
+        method=args.method or "grid", tie_tol=args.tol["tie"],
+        shape_tol=args.tol["shape"], range_tol=args.tol["range"])
+    _emit(report, args.out)
     theorem1 = report["theorem1"]
     if theorem1["applicable"] and theorem1["dominance"]["violations"]:
         n = len(theorem1["dominance"]["violations"])
@@ -159,16 +120,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    strong = load_model(cfg.models[0])
-    weak = load_model(cfg.models[1])
-    method = cfg.method or "grid"
-    report = compare_models(strong, weak, resolution=cfg.grid,
-                            residual=cfg.residual, horizon=cfg.horizon,
-                            method=method)
+def cmd_compare(args: argparse.Namespace) -> int:
+    strong = load_model(args.strong)
+    weak = load_model(args.weak)
+    report = compare_models(strong, weak, resolution=args.grid,
+                            residual=args.residual, horizon=args.horizon,
+                            method=args.method or "grid")
     report["strong_model"] = strong.name
     report["weak_model"] = weak.name
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     if report["hypotheses_hold"] and not report["gap_ok"]:
         print(f"compare: value gap {report['min_gap']:.3e} below "
               f"-{report['slack']:.3e} with hypotheses holding",
@@ -177,11 +137,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    model = gen_example(cfg.name, **cfg.params)
+def cmd_gen(args: argparse.Namespace) -> int:
+    model = gen_example(args.name, **dict(_parse_param(t) for t in args.param))
     text = model_to_json(model)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -214,13 +174,28 @@ def _parse_param(token: str):
 
 
 def _parse_tol(tokens: list[str]) -> dict[str, float]:
-    out = {}
+    out = dict(KNOWN_TOLERANCES)
     for token in tokens:
         if "=" not in token:
             raise ValueError(f"--tol expects name=value, got {token!r}")
-        name, raw = token.split("=", 1)
-        out[name.strip()] = float(raw)
+        name, raw = (part.strip() for part in token.split("=", 1))
+        if name not in KNOWN_TOLERANCES:
+            raise ValueError(
+                f"unknown tolerance name {name!r}; "
+                f"known: {', '.join(sorted(KNOWN_TOLERANCES))}")
+        out[name] = float(raw)
     return out
+
+
+def _check_solver_args(args: argparse.Namespace) -> None:
+    """Apply the default stop rule, reject bad solver flags, and replace the
+    ``--tol`` overrides with the full tolerance table."""
+    if args.grid < 1:
+        raise ValueError("--grid must be at least 1")
+    if args.horizon is None and args.residual is None:
+        args.residual = DEFAULT_RESIDUAL
+    _mode_or_error(args.horizon, args.residual)
+    args.tol = _parse_tol(args.tol)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -278,34 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "gen":
-        return RunConfig(command="gen", name=args.name,
-                         params=dict(_parse_param(t) for t in args.param),
-                         out=args.out)
-    cfg = RunConfig(
-        command=args.command,
-        models=[getattr(args, "model", None) or args.strong]
-        if args.command != "compare" else [args.strong, args.weak],
-        out=getattr(args, "out", None))
-    if args.command in ("validate", "check"):
-        return cfg
-    cfg.grid = args.grid
-    cfg.horizon = args.horizon
-    cfg.residual = args.residual
-    cfg.method = args.method
-    cfg.csv = getattr(args, "csv", None)
-    cfg.tolerances = _parse_tol(args.tol)
-    cfg.__post_init__()
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        if hasattr(args, "grid"):
+            _check_solver_args(args)
+        return _COMMANDS[args.command](args)
     except (ModelFormatError, ValueError, KeyError, TypeError,
             ArithmeticError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -35,8 +36,8 @@ class ImpossibleObservationError(ValueError):
     """Bayes update conditioned on an observation of (numerically) zero probability."""
 
 
-def _readonly(a):
-    a = np.array(a, dtype=float)
+def _readonly(a, dtype=float):
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -72,18 +73,6 @@ def as_belief(value) -> Belief:
     if isinstance(value, Belief):
         return value
     return Belief(np.asarray(value, dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class LineCoordinates:
-    """Coordinates of a belief on the segment from a base point to the last vertex.
-
-    ``base`` has last component zero; the source belief is
-    ``(1 - epsilon) * base + epsilon * e_X``.
-    """
-
-    base: Belief
-    epsilon: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +190,16 @@ def belief_grid(num_states: int, resolution: int) -> np.ndarray:
     return _readonly(pts)
 
 
+@lru_cache(maxsize=32)
+def capped_resolution(num_states: int, resolution: int, limit: int) -> int:
+    """Largest resolution up to ``resolution`` whose belief grid has at most
+    ``limit`` points (never below 1)."""
+    res = resolution
+    while res > 1 and comb(res + num_states - 1, num_states - 1) > limit:
+        res -= 1
+    return res
+
+
 def _check_indices(m: PomdpModel, y: int, u: int):
     if not (0 <= u < m.num_actions):
         raise ValueError(f"action index {u} out of range [0, {m.num_actions})")
@@ -227,37 +226,6 @@ def belief_update(m: PomdpModel, pi, y: int, u: int) -> Belief:
         raise ImpossibleObservationError(
             f"impossible observation: y={y} under action u={u} has probability {sigma:.3g}")
     return Belief(unnormalized / sigma)
-
-
-def line_coordinates(pi) -> LineCoordinates:
-    """Decompose a belief as a point on the segment from a zero-last-coordinate
-    base toward the last vertex: pi = (1 - eps) * base + eps * e_X.
-
-    At the last vertex itself (eps = 1) the base is taken uniform over the
-    first X-1 states so the function stays total and deterministic.
-    """
-    probs = as_belief(pi).probs
-    x = probs.size
-    eps = float(probs[-1])
-    if x == 1:
-        raise ValueError("line coordinates need at least two states")
-    if eps >= 1.0 - 1e-15:
-        base = np.full(x, 1.0 / (x - 1))
-        base[-1] = 0.0
-        return LineCoordinates(base=Belief(base), epsilon=1.0)
-    base = probs / (1.0 - eps)
-    base = base.copy()
-    base[-1] = 0.0
-    return LineCoordinates(base=Belief(base), epsilon=eps)
-
-
-def line_point(coords: LineCoordinates) -> Belief:
-    """Reconstruct the belief described by LineCoordinates."""
-    base = coords.base.probs
-    point = (1.0 - coords.epsilon) * base
-    point = point.copy()
-    point[-1] += coords.epsilon
-    return Belief(point)
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,22 +47,6 @@ class OrderVerdict:
         return self.holds is True
 
 
-@dataclass(frozen=True, eq=False)
-class GammaMatrixSet:
-    """The X-1 symmetrized difference matrices used by copositive dominance."""
-
-    matrices: np.ndarray  # (X-1, X, X), each symmetric
-
-    def __len__(self) -> int:
-        return self.matrices.shape[0]
-
-    def __getitem__(self, j) -> np.ndarray:
-        return self.matrices[j]
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-
 def _vec(value, name="vector") -> np.ndarray:
     if isinstance(value, Belief):
         return value.probs
@@ -144,11 +128,11 @@ def is_tp2(matrix, tol: float = PAIR_TOL) -> OrderVerdict:
         "cols": (int(jj[c]), int(ll[c])), "minor": float(worst)})
 
 
-def gamma_matrices(p1, p2) -> GammaMatrixSet:
+def gamma_matrices(p1, p2) -> np.ndarray:
     """Symmetrized cross-difference matrices of two equally sized stochastic
-    matrices: for each adjacent column pair (j, j+1),
-    raw[m, n] = p1[m, j] * p2[n, j+1] - p1[m, j+1] * p2[n, j], symmetrized
-    as (raw + raw') / 2."""
+    matrices, as a read-only (X-1, X, X) stack: for each adjacent column pair
+    (j, j+1), raw[m, n] = p1[m, j] * p2[n, j+1] - p1[m, j+1] * p2[n, j],
+    symmetrized as (raw + raw') / 2."""
     a, b = _mat(p1, "p1"), _mat(p2, "p2")
     if a.shape != b.shape:
         raise ValueError("matrices must have equal shape")
@@ -158,7 +142,7 @@ def gamma_matrices(p1, p2) -> GammaMatrixSet:
         raw = np.outer(a[:, j], b[:, j + 1]) - np.outer(a[:, j + 1], b[:, j])
         out[j] = 0.5 * (raw + raw.T)
     out.setflags(write=False)
-    return GammaMatrixSet(matrices=out)
+    return out
 
 
 def _face_stationary_candidates(a: np.ndarray):

@@ -15,12 +15,11 @@ phase-1 start is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 
 import numpy as np
 
-from .model import Belief, PomdpModel, as_belief, belief_grid
+from .model import (PomdpModel, _readonly, as_belief, belief_grid,
+                    capped_resolution)
 
 PRUNE_EPS = 1e-10
 TIE_TOL = 1e-10
@@ -36,51 +35,21 @@ class CapacityError(RuntimeError):
     """Raised when an exact cross-sum would exceed the vector-count cap."""
 
 
-def _frozen(arr, dtype=float) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class AlphaVector:
-    """One linear piece of a value function and the action that produced it."""
-
-    values: np.ndarray  # (X,)
-    action: int
-
-    def value(self, belief) -> float:
-        return float(np.asarray(self.values, dtype=float)
-                     @ as_belief(belief).probs)
-
-
-@dataclass(frozen=True, eq=False)
-class ExactVF:
-    """Pruned alpha-vector value function.
-
-    ``horizon`` counts the exact backups performed.  ``residuals`` holds the
-    per-iteration sup-norm change certified by LP over the whole simplex and
-    ``grid_residuals`` the change measured on the reference grid.
-    """
+class _Envelope:
+    """Upper envelope of alpha vectors, each tagged with the action that
+    produced it."""
 
     vectors: np.ndarray          # (N, X)
     actions: np.ndarray          # (N,)
-    horizon: int
-    residuals: tuple[float, ...] = ()
-    grid_residuals: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _frozen(np.atleast_2d(self.vectors)))
-        object.__setattr__(self, "actions", _frozen(self.actions, dtype=int))
+        object.__setattr__(self, "vectors", _readonly(np.atleast_2d(self.vectors)))
+        object.__setattr__(self, "actions", _readonly(self.actions, dtype=int))
 
     @property
     def num_vectors(self) -> int:
         return self.vectors.shape[0]
-
-    @property
-    def alpha_vectors(self) -> list[AlphaVector]:
-        return [AlphaVector(values=v, action=int(a))
-                for v, a in zip(self.vectors, self.actions)]
 
     def value(self, belief) -> float:
         return float((self.vectors @ as_belief(belief).probs).max())
@@ -90,7 +59,21 @@ class ExactVF:
 
 
 @dataclass(frozen=True, eq=False)
-class GridVF:
+class ExactVF(_Envelope):
+    """Pruned alpha-vector value function.
+
+    ``horizon`` counts the exact backups performed.  ``residuals`` holds the
+    per-iteration sup-norm change certified by LP over the whole simplex and
+    ``grid_residuals`` the change measured on the reference grid.
+    """
+
+    horizon: int
+    residuals: tuple[float, ...] = ()
+    grid_residuals: tuple[float, ...] = ()
+
+
+@dataclass(frozen=True, eq=False)
+class GridVF(_Envelope):
     """Point-based value function: one backed-up alpha vector per grid point.
 
     ``vectors`` holds the distinct backed-up vectors, at most one per grid
@@ -101,42 +84,17 @@ class GridVF:
 
     beliefs: np.ndarray          # (P, X)
     values: np.ndarray           # (P,)
-    vectors: np.ndarray          # (M, X)
-    actions: np.ndarray          # (M,)
     point_vector: np.ndarray     # (P,) row of `vectors` backing each point
     iterations: int
     residual: float
     residuals: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "beliefs", _frozen(self.beliefs))
-        object.__setattr__(self, "values", _frozen(self.values))
-        object.__setattr__(self, "vectors", _frozen(np.atleast_2d(self.vectors)))
-        object.__setattr__(self, "actions", _frozen(self.actions, dtype=int))
+        super().__post_init__()
+        object.__setattr__(self, "beliefs", _readonly(self.beliefs))
+        object.__setattr__(self, "values", _readonly(self.values))
         object.__setattr__(self, "point_vector",
-                           _frozen(self.point_vector, dtype=int))
-
-    @property
-    def num_vectors(self) -> int:
-        return self.vectors.shape[0]
-
-    def value(self, belief) -> float:
-        return float((self.vectors @ as_belief(belief).probs).max())
-
-    def values_at(self, points) -> np.ndarray:
-        return (np.asarray(points, dtype=float) @ self.vectors.T).max(axis=1)
-
-
-@dataclass(frozen=True, eq=False)
-class PolicyQuery:
-    """Per-action Q-values at one belief with the tie-tolerant argmax set."""
-
-    belief: Belief
-    q: np.ndarray                    # (U,)
-    argmax_actions: tuple[int, ...]  # actions within TIE_TOL of the best Q
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", _frozen(self.q))
+                           _readonly(self.point_vector, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +197,6 @@ def _batch_margins(cands, refs):
 # Pruning
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _certification_resolution(num_states: int) -> int:
-    res = 40
-    while res > 1 and comb(res + num_states - 1, num_states - 1) > 15_000:
-        res -= 1
-    return res
-
-
 def _streaming_top2(rows: np.ndarray, points: np.ndarray, block: int = 8192):
     """Per evaluation point: index and value of the best row and the value of
     the runner-up, computed in row blocks so memory stays bounded.  Each
@@ -304,7 +254,8 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
 
     n = cands_u.shape[0]
 
-    grid = belief_grid(cands.shape[1], _certification_resolution(cands.shape[1]))
+    grid = belief_grid(cands.shape[1],
+                       capped_resolution(cands.shape[1], 40, 15_000))
     top, top_vals, second = _streaming_top2(cands_u, grid)
     certified = np.unique(top[top_vals - second > eps])
 
@@ -399,22 +350,11 @@ def prune(vectors, eps: float = PRUNE_EPS):
 
     A vector survives iff some belief strictly prefers it to all the others
     by more than eps, so the max over the pruned set equals the max over the
-    input set at every belief (within eps).  Returns (pruned, kept_indices);
-    ``pruned`` mirrors the input kind — a list of AlphaVector in gives a list
-    of AlphaVector out, an array in gives an array out.
+    input set at every belief (within eps).  Returns (pruned, kept_indices).
     """
-    if not isinstance(vectors, np.ndarray):
-        seq = list(vectors)
-        if not seq:
-            return [], np.empty(0, dtype=int)
-        if isinstance(seq[0], AlphaVector):
-            arr = np.array([np.asarray(a.values, dtype=float) for a in seq])
-            kept = _prune_arrays(arr, eps)
-            return [seq[int(i)] for i in kept], kept
-        vectors = np.asarray(seq, dtype=float)
     arr = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if arr.shape[0] == 0:
-        return arr.copy(), np.empty(0, dtype=int)
+    if arr.size == 0:
+        return np.empty((0, arr.shape[1])), np.empty(0, dtype=int)
     kept = _prune_arrays(arr, eps)
     return arr[kept].copy(), kept
 
@@ -453,18 +393,6 @@ def _backup_arrays(m: PomdpModel, vectors: np.ndarray, *, cap: int, eps: float):
     return all_vectors[kept], all_actions[kept]
 
 
-def vi_exact_step(m: PomdpModel, vf: ExactVF, *,
-                  cap: int = CROSS_SUM_CAP, eps: float = PRUNE_EPS) -> ExactVF:
-    """One exact value-iteration backup: V_{k+1} from V_k.
-
-    Raises CapacityError when an intermediate cross-sum would exceed ``cap``
-    vectors, in which case the grid solver is the practical alternative.
-    """
-    new_vectors, new_actions = _backup_arrays(m, vf.vectors, cap=cap, eps=eps)
-    return ExactVF(vectors=new_vectors, actions=new_actions,
-                   horizon=vf.horizon + 1)
-
-
 def _sup_residual(new_vectors: np.ndarray, old_vectors: np.ndarray) -> float:
     """Exact sup-norm distance between two alpha-vector envelopes.
 
@@ -478,19 +406,14 @@ def _sup_residual(new_vectors: np.ndarray, old_vectors: np.ndarray) -> float:
 
 
 def _mode_or_error(horizon, residual) -> None:
+    """Reject a stop rule unless it is exactly one of a nonnegative integer
+    horizon and a positive residual."""
     if (horizon is None) == (residual is None):
         raise ValueError("exactly one of horizon and residual must be given")
     if horizon is not None and (int(horizon) != horizon or horizon < 0):
         raise ValueError("horizon must be a nonnegative integer")
     if residual is not None and not residual > 0.0:
         raise ValueError("residual must be positive")
-
-
-def _capped_resolution(num_states: int, resolution: int, limit: int) -> int:
-    res = resolution
-    while res > 1 and comb(res + num_states - 1, num_states - 1) > limit:
-        res -= 1
-    return res
 
 
 def solve_exact(m: PomdpModel, *, horizon: int | None = None,
@@ -504,52 +427,40 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
     solve (sound: the stopping rule depends only on the distance between
     consecutive exact iterates, not on the starting point) and stops when
     both the LP-certified sup-norm change and the grid-measured change drop
-    to ``residual`` or below.
+    to ``residual`` or below.  Raises CapacityError when a cross-sum would
+    exceed ``cap`` vectors, in which case the grid solver is the practical
+    alternative.
     """
     _mode_or_error(horizon, residual)
-    num_states = m.num_states
+    grid_res = capped_resolution(m.num_states, resolution, 20_000)
     if horizon is not None:
-        vf = ExactVF(vectors=np.zeros((1, num_states)),
+        vf = ExactVF(vectors=np.zeros((1, m.num_states)),
                      actions=np.zeros(1, dtype=int), horizon=0)
-        history_grid = belief_grid(
-            num_states, _capped_resolution(num_states, resolution, 20_000))
-        residuals: list[float] = []
-        grid_residuals: list[float] = []
-        for _ in range(int(horizon)):
-            new = vi_exact_step(m, vf, cap=cap, eps=eps)
-            residuals.append(_sup_residual(new.vectors, vf.vectors))
-            old_env = (history_grid @ vf.vectors.T).max(axis=1)
-            new_env = (history_grid @ new.vectors.T).max(axis=1)
-            grid_residuals.append(float(np.abs(new_env - old_env).max()))
-            vf = new
-        return ExactVF(vectors=vf.vectors, actions=vf.actions,
-                       horizon=vf.horizon, residuals=tuple(residuals),
-                       grid_residuals=tuple(grid_residuals))
-
-    seed_res = _capped_resolution(num_states, resolution, 20_000)
-    seed = solve_grid(m, resolution=seed_res, residual=residual,
-                      max_iter=max_iter)
-    kept = _prune_arrays(seed.vectors, eps)
-    vectors, actions = seed.vectors[kept], seed.actions[kept]
-    history_grid = belief_grid(num_states, seed_res)
+        steps = int(horizon)
+    else:
+        seed = solve_grid(m, resolution=grid_res, residual=residual,
+                          max_iter=max_iter)
+        kept = _prune_arrays(seed.vectors, eps)
+        vf = ExactVF(vectors=seed.vectors[kept], actions=seed.actions[kept],
+                     horizon=0)
+        steps = max_iter
+    history_grid = belief_grid(m.num_states, grid_res)
     residuals: list[float] = []
     grid_residuals: list[float] = []
-    steps = 0
-    while True:
-        if steps >= max_iter:
-            raise ArithmeticError("exact value iteration failed to converge")
-        new_vectors, new_actions = _backup_arrays(m, vectors, cap=cap, eps=eps)
-        exact_res = _sup_residual(new_vectors, vectors)
-        old_env = (history_grid @ vectors.T).max(axis=1)
-        new_env = (history_grid @ new_vectors.T).max(axis=1)
-        grid_res = float(np.abs(new_env - old_env).max())
-        residuals.append(exact_res)
-        grid_residuals.append(grid_res)
-        vectors, actions = new_vectors, new_actions
-        steps += 1
-        if max(exact_res, grid_res) <= residual:
+    while vf.horizon < steps:
+        vectors, actions = _backup_arrays(m, vf.vectors, cap=cap, eps=eps)
+        new = ExactVF(vectors=vectors, actions=actions, horizon=vf.horizon + 1)
+        residuals.append(_sup_residual(new.vectors, vf.vectors))
+        grid_residuals.append(float(np.abs(
+            new.values_at(history_grid) - vf.values_at(history_grid)).max()))
+        vf = new
+        if residual is not None and \
+                max(residuals[-1], grid_residuals[-1]) <= residual:
             break
-    return ExactVF(vectors=vectors, actions=actions, horizon=steps,
+    else:
+        if residual is not None:
+            raise ArithmeticError("exact value iteration failed to converge")
+    return ExactVF(vectors=vf.vectors, actions=vf.actions, horizon=vf.horizon,
                    residuals=tuple(residuals),
                    grid_residuals=tuple(grid_residuals))
 
@@ -683,21 +594,20 @@ def _q_batch(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray) -> np.ndar
     return q
 
 
-def q_values(m: PomdpModel, vf, belief, tie_tol: float = TIE_TOL) -> PolicyQuery:
-    """Per-action Q-values at one belief under the given value function."""
+def _lowest_argmax(scores: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
+    """Per row of ``scores``, the lowest index whose score is within tie_tol
+    of the row's best (ties broken down)."""
+    best = scores.max(axis=-1, keepdims=True)
+    return np.argmax(scores >= best - tie_tol, axis=-1)
+
+
+def q_values(m: PomdpModel, vf, belief) -> np.ndarray:
+    """Per-action Q-values, shape (U,), at one belief under the given value
+    function."""
     b = as_belief(belief)
     if b.num_states != m.num_states:
         raise ValueError("belief dimension does not match the model")
-    q = _q_batch(m, vf.vectors, b.probs[None, :])[0]
-    ties = np.flatnonzero(q >= q.max() - tie_tol)
-    return PolicyQuery(belief=b, q=q,
-                       argmax_actions=tuple(int(u) for u in ties))
-
-
-def optimal_policy_at(m: PomdpModel, vf, belief,
-                      tie_tol: float = TIE_TOL) -> int:
-    """Lowest-index action maximizing Q at the belief (ties broken down)."""
-    return q_values(m, vf, belief, tie_tol=tie_tol).argmax_actions[0]
+    return _q_batch(m, vf.vectors, b.probs[None, :])[0]
 
 
 def myopic_policy_at(m: PomdpModel, belief, tie_tol: float = TIE_TOL) -> int:
@@ -705,13 +615,7 @@ def myopic_policy_at(m: PomdpModel, belief, tie_tol: float = TIE_TOL) -> int:
     b = as_belief(belief)
     if b.num_states != m.num_states:
         raise ValueError("belief dimension does not match the model")
-    gains = m.reward @ b.probs
-    return int(np.argmax(gains >= gains.max() - tie_tol))
-
-
-def value_at(vf, belief) -> float:
-    """Envelope value of an exact or grid value function at one belief."""
-    return vf.value(belief)
+    return int(_lowest_argmax(m.reward @ b.probs, tie_tol))
 
 
 def gamma_monotone_report(vf: ExactVF, tol: float = 1e-10) -> dict:
@@ -743,31 +647,27 @@ def gamma_monotone_report(vf: ExactVF, tol: float = 1e-10) -> dict:
 def vf_to_dict(vf, *, action_base: int = 1) -> dict:
     """JSON-ready dict for a value function (actions reported 1-based by
     default, matching the command-line output convention)."""
+    if not isinstance(vf, (ExactVF, GridVF)):
+        raise TypeError(f"not a value function: {type(vf).__name__}")
+    vectors = [{"values": [float(x) for x in vec], "action": int(a) + action_base}
+               for vec, a in zip(vf.vectors, vf.actions)]
     if isinstance(vf, ExactVF):
         return {
             "kind": "exact",
             "horizon": vf.horizon,
             "residuals": list(vf.residuals),
             "grid_residuals": list(vf.grid_residuals),
-            "vectors": [
-                {"values": [float(x) for x in vec],
-                 "action": int(a) + action_base}
-                for vec, a in zip(vf.vectors, vf.actions)],
+            "vectors": vectors,
         }
-    if isinstance(vf, GridVF):
-        return {
-            "kind": "grid",
-            "iterations": vf.iterations,
-            "residual": float(vf.residual) if np.isfinite(vf.residual) else None,
-            "residuals": list(vf.residuals),
-            "vectors": [
-                {"values": [float(x) for x in vec],
-                 "action": int(a) + action_base}
-                for vec, a in zip(vf.vectors, vf.actions)],
-            "points": [
-                {"belief": [float(x) for x in b],
-                 "value": float(v),
-                 "vector": int(k)}
-                for b, v, k in zip(vf.beliefs, vf.values, vf.point_vector)],
-        }
-    raise TypeError(f"not a value function: {type(vf).__name__}")
+    return {
+        "kind": "grid",
+        "iterations": vf.iterations,
+        "residual": float(vf.residual) if np.isfinite(vf.residual) else None,
+        "residuals": list(vf.residuals),
+        "vectors": vectors,
+        "points": [
+            {"belief": [float(x) for x in b],
+             "value": float(v),
+             "vector": int(k)}
+            for b, v, k in zip(vf.beliefs, vf.values, vf.point_vector)],
+    }

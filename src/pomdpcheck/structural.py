@@ -14,9 +14,13 @@ vertex.
 
 Verification never asserts: hypotheses may fail, in which case the checks
 still run and report diagnostics, because the structural conditions are
-sufficient rather than necessary.  All comparisons on infinite-horizon
-proxies carry an explicit additive slack derived from the contraction
-bound, so every reported verdict is decidable from a finite computation.
+sufficient rather than necessary.  Comparisons on infinite-horizon proxies
+carry an additive slack computed from the requested stop rule
+(:func:`slack_budget`), not from the residual the solve reached.  The two
+can disagree: ``verify ex2 --grid 35`` stops at residual 7.8e-6 against a
+requested 1e-8 and still reports slack 2e-7, so a verdict is not always
+decidable from what was computed.  ROADMAP item 1 replaces the slack with
+two-sided value bounds.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ import numpy as np
 
 from .model import (PomdpModel, ShiftFeasibility, as_belief, belief_grid,
                     reward_shift_general)
-from .orders import (OrderVerdict, blackwell_dominates, check_a5, check_a7,
-                     copositive_dominates, is_tp2, lehmann_precision,
+from .orders import (PAIR_TOL, OrderVerdict, blackwell_dominates, check_a5,
+                     check_a7, copositive_dominates, is_tp2, lehmann_precision,
                      reverse_factorization)
-from .solver import TIE_TOL, _q_batch, solve_exact, solve_grid
+from .solver import (TIE_TOL, _lowest_argmax, _mode_or_error, _q_batch,
+                     solve_exact, solve_grid)
 
-PAIR_TOL = 1e-12
 SHAPE_TOL = 1e-9
 RANGE_TOL = 1e-10
 PSI_END_TOL = 1e-12
@@ -184,8 +188,7 @@ def slack_budget(m: PomdpModel, *, residual: float | None = None,
     Horizon-mode solves started from zero are within rho^k * Rmax/(1-rho),
     doubled the same way.  Exactly one mode must be given.
     """
-    if (horizon is None) == (residual is None):
-        raise ValueError("exactly one of horizon and residual must be given")
+    _mode_or_error(horizon, residual)
     one_minus = 1.0 - m.discount
     if one_minus <= 0.0:
         raise ValueError("slack budget requires discount < 1")
@@ -224,8 +227,7 @@ def solve_for_verification(m: PomdpModel, *, method: str = "grid",
     sweep's actual change, so reports can state the achieved residual next
     to the requested one.
     """
-    if (horizon is None) == (residual is None):
-        raise ValueError("exactly one of horizon and residual must be given")
+    _mode_or_error(horizon, residual)
     if method == "exact":
         return solve_exact(m, horizon=horizon, residual=residual,
                            resolution=resolution)
@@ -249,15 +251,6 @@ def _achieved_residual(vf) -> float | None:
 # Theorem-style verification on a solved value function
 # ---------------------------------------------------------------------------
 
-def _myopic_actions(m: PomdpModel, beliefs: np.ndarray,
-                    tie_tol: float = TIE_TOL) -> np.ndarray:
-    """Lowest-index immediate-reward argmax per belief row (ties broken down,
-    matching myopic_policy_at)."""
-    gains = beliefs @ m.reward.T
-    best = gains.max(axis=1, keepdims=True)
-    return np.argmax(gains >= best - tie_tol, axis=1)
-
-
 def verify_policy_dominance(m: PomdpModel, vf, *,
                             resolution: int = DEFAULT_RESOLUTION,
                             slack: float = 0.0,
@@ -274,19 +267,17 @@ def verify_policy_dominance(m: PomdpModel, vf, *,
     """
     beliefs = belief_grid(m.num_states, resolution)
     q = _q_batch(m, vf.vectors, beliefs)
-    myopic = _myopic_actions(m, beliefs, tie_tol)
+    myopic = _lowest_argmax(beliefs @ m.reward.T, tie_tol)
     suffix_best = np.maximum.accumulate(q[:, ::-1], axis=1)[:, ::-1]
     margins = suffix_best[np.arange(beliefs.shape[0]), myopic] - q.max(axis=1)
     bad = np.flatnonzero(margins < -(slack + tie_tol))
-    violations = []
-    for i in bad:
-        q_row = q[i]
-        violations.append({
-            "belief": [float(x) for x in beliefs[i]],
-            "myopic_action": int(myopic[i]) + 1,
-            "optimal_action": int(np.argmax(q_row >= q_row.max() - tie_tol)) + 1,
-            "margin": float(margins[i]),
-        })
+    optimal = _lowest_argmax(q[bad], tie_tol)
+    violations = [{
+        "belief": [float(x) for x in beliefs[i]],
+        "myopic_action": int(myopic[i]) + 1,
+        "optimal_action": int(best) + 1,
+        "margin": float(margins[i]),
+    } for i, best in zip(bad, optimal)]
     return {
         "num_beliefs": int(beliefs.shape[0]),
         "grid_resolution": int(resolution),
@@ -379,18 +370,6 @@ def psi(m: PomdpModel, pi, u_low: int, u_high: int, lam: float) -> float:
         tails, sigmas = _posterior_tails(m, probs, u)
         total += sign * float(np.maximum(tails - lam * sigmas, 0.0).sum())
     return total
-
-
-def psi_breakpoints(m: PomdpModel, pi, u_low: int, u_high: int) -> np.ndarray:
-    """Kink locations of lam -> psi(lam): the normalized posterior tails
-    tail_y / sigma_y of both actions, for observations with sigma > 0."""
-    probs = as_belief(pi).probs
-    points = []
-    for u in (u_low, u_high):
-        tails, sigmas = _posterior_tails(m, probs, u)
-        live = sigmas > 0.0
-        points.append(tails[live] / sigmas[live])
-    return np.unique(np.concatenate(points))
 
 
 def psi_sweep(m: PomdpModel, beliefs, *,

@@ -18,7 +18,7 @@ from pomdpcheck import (belief_grid, blackwell_dominates, compare_models,
                         save_model, slack_budget, solve_grid,
                         gamma_monotone_report, verify_policy_dominance,
                         verify_q_diff_monotone, verify_value_monotone_convex,
-                        value_at, solve_exact)
+                        solve_exact)
 from pomdpcheck.cli import main
 
 from oracles import (copositive2_closed_form, copositive3_closed_form,
@@ -151,7 +151,7 @@ def test_criterion_06_exact_solver_matches_expectimax():
         vf = solve_exact(m, horizon=3)
         for _ in range(50):
             pi = random_belief(rng, m.num_states)
-            diff = abs(value_at(vf, pi) - expectimax_value(m, pi, 3))
+            diff = abs(vf.value(pi) - expectimax_value(m, pi, 3))
             worst = max(worst, diff)
     assert worst <= 1e-9, f"worst expectimax gap {worst:.3e}"
 

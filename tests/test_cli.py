@@ -1,15 +1,17 @@
-"""Command-line surface: exit codes, JSON/CSV outputs, flag validation, and
-the generator round-trip."""
+"""Command-line surface: exit codes, JSON/CSV outputs, flag validation, the
+generator round-trip, and the README's list of package entry points."""
 
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pomdpcheck import gamma_matrices, gen_example, save_model
+from pomdpcheck import gamma_matrices, gen_example, make_model, save_model
 from pomdpcheck.cli import main
 
 from oracles import copositive_kaplan_oracle
@@ -67,18 +69,41 @@ def test_check_reports_hypotheses(capsys, ex1_path):
     assert doc["statement1_applicable"] is True
 
 
-@pytest.mark.parametrize("num_states", [4, 5])
+def _action_drift_model():
+    """Three states whose drift depends on the action.  Every bundled model
+    uses one transition matrix for all actions, so their gamma matrices are
+    all zero."""
+    return make_model(
+        name="action_drift", discount=0.9,
+        transition=[[[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]],
+                    [[0.6, 0.3, 0.1], [0.05, 0.75, 0.2], [0.0, 0.1, 0.9]]],
+        observation=[[[0.7, 0.3], [0.5, 0.5], [0.2, 0.8]]] * 2,
+        reward=[[0.0, 1.0, 2.0], [0.1, 1.0, 1.9]])
+
+
+@pytest.mark.parametrize("build, nonzero", [
+    pytest.param(lambda: gen_example("tridiagonal", num_states=4), False,
+                 id="4"),
+    pytest.param(lambda: gen_example("tridiagonal", num_states=5), False,
+                 id="5"),
+    pytest.param(_action_drift_model, True, id="action_drift"),
+])
 def test_check_tridiagonal_copositivity_matches_kaplan(capsys, tmp_path,
-                                                       num_states):
-    model = gen_example("tridiagonal", num_states=num_states)
-    path = tmp_path / "tri.json"
+                                                       build, nonzero):
+    model = build()
+    path = tmp_path / "model.json"
     save_model(model, path)
     code, doc = run_json(capsys, ["check", str(path)])
     assert code == 0
-    expected = [all(copositive_kaplan_oracle(g) for g in
-                    gamma_matrices(model.transition[u], model.transition[u + 1]))
-                for u in range(model.num_actions - 1)]
-    assert [v["holds"] for v in doc["a4_copositive_dominance"]] == expected
+    gammas = [gamma_matrices(model.transition[u], model.transition[u + 1])
+              for u in range(model.num_actions - 1)]
+    assert any(np.abs(g).max() > 0.0 for g in gammas) == nonzero
+    expected = [[copositive_kaplan_oracle(g) for g in stack] for stack in gammas]
+    verdicts = doc["a4_copositive_dominance"]
+    assert [v["holds"] for v in verdicts] == [all(e) for e in expected]
+    for v, e in zip(verdicts, expected):
+        if not v["holds"]:
+            assert v["witness"]["gamma_index"] == e.index(False)
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +230,18 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+# ---------------------------------------------------------------------------
+# Package surface
+# ---------------------------------------------------------------------------
+
+def test_readme_entry_points_are_exported():
+    import pomdpcheck
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Key entry points:"):].split("\n\n")[0]
+    names = re.findall(r"`([A-Za-z_]\w*)`", paragraph)
+    assert len(names) >= 30
+    missing = [n for n in names if n not in pomdpcheck.__all__]
+    assert missing == []
+    assert all(callable(getattr(pomdpcheck, n)) for n in names)

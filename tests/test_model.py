@@ -1,5 +1,5 @@
-"""Model container, validation, Bayes updates, line coordinates, reward
-shifts, and JSON round-trips."""
+"""Model container, validation, Bayes updates, reward shifts, and JSON
+round-trips."""
 
 import json
 
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from pomdpcheck import (Belief, ImpossibleObservationError, ModelFormatError,
                         as_belief, belief_grid, belief_update, gen_example,
-                        line_coordinates, line_point, load_model, loads_model,
-                        make_model, model_to_json, obs_likelihood,
+                        load_model, loads_model, make_model, model_to_json,
+                        obs_likelihood,
                         reward_shift_controlled, reward_shift_general,
                         save_model, validate_model)
 
@@ -136,30 +136,6 @@ def test_index_range_errors():
         belief_update(m, [1.0, 0.0, 0.0], y=3, u=0)
     with pytest.raises(ValueError):
         belief_update(m, [1.0, 0.0, 0.0], y=0, u=2)
-
-
-# ---------------------------------------------------------------------------
-# Line coordinates
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=200, deadline=None)
-@given(simplex_points(4))
-def test_line_coordinates_round_trip(pi):
-    coords = line_coordinates(pi)
-    assert coords.base.probs[-1] == pytest.approx(0.0, abs=1e-15)
-    back = line_point(coords)
-    assert back.probs == pytest.approx(pi, abs=1e-12)
-
-
-def test_line_coordinates_last_vertex():
-    coords = line_coordinates([0.0, 0.0, 1.0])
-    assert coords.epsilon == pytest.approx(1.0)
-    assert line_point(coords).probs == pytest.approx([0.0, 0.0, 1.0])
-
-
-def test_line_coordinates_single_state_rejected():
-    with pytest.raises(ValueError):
-        line_coordinates([1.0])
 
 
 # ---------------------------------------------------------------------------

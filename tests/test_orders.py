@@ -195,7 +195,7 @@ def test_shared_transition_gives_trivial_copositive_dominance():
     verdict = copositive_dominates(m.transition[0], m.transition[1])
     assert verdict.holds
     gammas = gamma_matrices(m.transition[0], m.transition[1])
-    for g in gammas.matrices:
+    for g in gammas:
         assert np.allclose(g, 0.0)   # symmetrized differences cancel exactly
 
 

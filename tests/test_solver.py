@@ -1,15 +1,18 @@
 """Exact and grid solvers against brute-force expectimax, plus pruning,
 policy queries, and the cross-method consistency contracts."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from pomdpcheck import (CapacityError, belief_grid, gen_example,
                         gamma_monotone_report, make_model, myopic_policy_at,
-                        optimal_policy_at, prune, q_values, solve_exact,
-                        solve_grid, value_at, vf_to_dict, vi_exact_step)
+                        prune, q_values, save_model, solve_exact, solve_grid,
+                        vf_to_dict)
+from pomdpcheck.cli import main
 from pomdpcheck.solver import (_POINT_BLOCK, ExactVF, _batch_margins,
-                               _grid_backup)
+                               _grid_backup, _lowest_argmax)
 
 from oracles import (envelope_on_grid, expectimax_value, game_margin_oracle,
                      point_backup_q, random_belief, random_model)
@@ -27,7 +30,7 @@ def zero_vf(num_states):
 def test_horizon_zero_is_zero():
     vf = solve_exact(gen_example("ex1"), horizon=0)
     assert vf.num_vectors == 1
-    assert value_at(vf, [0.2, 0.3, 0.5]) == 0.0
+    assert vf.value([0.2, 0.3, 0.5]) == 0.0
 
 
 def test_horizon_one_is_best_immediate_reward():
@@ -38,7 +41,7 @@ def test_horizon_one_is_best_immediate_reward():
         for _ in range(10):
             pi = random_belief(rng, 3)
             expected = (m.reward @ pi).max()
-            assert value_at(vf, pi) == pytest.approx(expected, abs=1e-12)
+            assert vf.value(pi) == pytest.approx(expected, abs=1e-12)
 
 
 def test_small_models_match_expectimax_depth_three():
@@ -49,7 +52,7 @@ def test_small_models_match_expectimax_depth_three():
         vf = solve_exact(m, horizon=3)
         for _ in range(10):
             pi = random_belief(rng, m.num_states)
-            assert value_at(vf, pi) == pytest.approx(
+            assert vf.value(pi) == pytest.approx(
                 expectimax_value(m, pi, 3), abs=1e-9)
 
 
@@ -60,20 +63,16 @@ def test_iterates_monotone_for_nonnegative_rewards():
                    observation=m.observation,
                    reward=m.reward - m.reward.min())
     pts = belief_grid(3, 8)
-    vf = zero_vf(3)
     prev = np.zeros(pts.shape[0])
-    for _ in range(4):
-        vf = vi_exact_step(m, vf)
-        cur = vf.values_at(pts)
+    for k in range(1, 5):
+        cur = solve_exact(m, horizon=k).values_at(pts)
         assert (cur >= prev - 1e-12).all()
         prev = cur
 
 
 def test_capacity_error_raised():
-    m = gen_example("hierarchical")
-    vf = solve_exact(m, horizon=2)
     with pytest.raises(CapacityError):
-        vi_exact_step(m, vf, cap=3)
+        solve_exact(gen_example("hierarchical"), horizon=3, cap=3)
 
 
 def test_exact_residual_mode_reaches_its_residual():
@@ -227,9 +226,9 @@ def test_q_values_zero_function_reduces_to_rewards():
     m = random_model(rng, 3, 3, 3)
     for _ in range(10):
         pi = random_belief(rng, 3)
-        query = q_values(m, zero_vf(3), pi)
-        assert query.q == pytest.approx(m.reward @ pi, abs=1e-12)
-        assert optimal_policy_at(m, zero_vf(3), pi) == myopic_policy_at(m, pi)
+        q = q_values(m, zero_vf(3), pi)
+        assert q == pytest.approx(m.reward @ pi, abs=1e-12)
+        assert _lowest_argmax(q) == myopic_policy_at(m, pi)
 
 
 def test_q_values_match_depth_two_expectimax():
@@ -239,18 +238,26 @@ def test_q_values_match_depth_two_expectimax():
         vf = solve_exact(m, horizon=1)
         for _ in range(10):
             pi = random_belief(rng, 2)
-            query = q_values(m, vf, pi)
-            assert query.q.max() == pytest.approx(
+            q = q_values(m, vf, pi)
+            assert q.max() == pytest.approx(
                 expectimax_value(m, pi, 2), abs=1e-10)
 
 
-def test_policy_tie_breaks_to_lowest_action():
+def test_policy_tie_breaks_to_lowest_action(tmp_path):
     m = make_model(name="ties", discount=0.0,
                    transition=np.eye(2),
                    observation=[np.eye(2)] * 3,
                    reward=[[1.0, 1.0]] * 3)
     assert myopic_policy_at(m, [0.5, 0.5]) == 0
-    assert optimal_policy_at(m, zero_vf(2), [0.5, 0.5]) == 0
+    assert _lowest_argmax(q_values(m, zero_vf(2), [0.5, 0.5])) == 0
+    path, table = tmp_path / "ties.json", tmp_path / "policy.csv"
+    save_model(m, path)
+    assert main(["solve", str(path), "--horizon", "1", "--csv", str(table),
+                 "--out", str(tmp_path / "vf.json")]) == 0
+    rows = list(csv.DictReader(table.open()))
+    assert len(rows) == 101                      # grid 100 on two states
+    assert all(r["optimal_action"] == "1" and r["myopic_action"] == "1"
+               for r in rows)
 
 
 def test_myopic_crossing_on_ex1():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pomdpcheck import (assumption_report, compare_models, gen_example,
-                        make_model, psi, psi_breakpoints, psi_sweep,
+                        make_model, psi, psi_sweep,
                         reward_shift_controlled, slack_budget, solve_exact,
                         solve_for_verification, verification_report,
                         verify_policy_dominance, verify_q_diff_monotone,
@@ -157,12 +157,6 @@ def test_psi_nonnegative_on_ex1(ex1):
     sweep = psi_sweep(ex1, beliefs)
     assert sweep["min"] >= -1e-9
     assert sweep["minima"].shape == (50, 1)
-
-
-def test_psi_breakpoints_are_posterior_tails(ex1):
-    pts = psi_breakpoints(ex1, [0.2, 0.5, 0.3], 0, 1)
-    assert pts.min() >= 0.0 and pts.max() <= 1.0
-    assert pts.size <= 6            # at most one per (action, observation)
 
 
 def test_psi_requires_shared_transition():
