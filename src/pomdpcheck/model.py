@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -176,17 +177,18 @@ def belief_grid(num_states: int, resolution: int) -> np.ndarray:
     if num_states < 1 or resolution < 1:
         raise ValueError("num_states and resolution must be positive")
 
-    def compositions(parts, total):
-        if parts == 1:
-            return np.array([[total]], dtype=np.int64)
-        blocks = []
-        for first in range(total + 1):
-            rest = compositions(parts - 1, total - first)
-            head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-            blocks.append(np.hstack([head, rest]))
-        return np.vstack(blocks)
-
-    pts = compositions(num_states, resolution).astype(float) / float(resolution)
+    # Stars and bars: each point places num_states - 1 bars among
+    # resolution + num_states - 1 slots, and a part is the gap between
+    # neighbouring bars.  Lexicographic bar order lists the points in
+    # lexicographic order of their coordinates.
+    slots, num_bars = resolution + num_states - 1, num_states - 1
+    num_points = comb(slots, num_bars)
+    bounds = np.full((num_points, num_states + 1), slots, dtype=np.int64)
+    bounds[:, 0] = -1
+    bounds[:, 1:-1] = np.fromiter(
+        chain.from_iterable(combinations(range(slots), num_bars)),
+        dtype=np.int64, count=num_points * num_bars).reshape(num_points, num_bars)
+    pts = (np.diff(bounds, axis=1) - 1).astype(float) / float(resolution)
     return _readonly(pts)
 
 

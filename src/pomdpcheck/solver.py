@@ -29,6 +29,10 @@ _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _NO_ROW = np.iinfo(np.int64).max  # tie-break filler: never the smallest basis index
 _POINT_BLOCK = 128  # score rows per grid-backup block, cache-sized
+# Tableau bytes per margin-LP batch.  Each simplex sweep makes a few
+# temporaries of the tableau's size; kept cache-sized they reuse freed memory
+# instead of being mapped and faulted in afresh on every sweep.
+_LP_BATCH_BYTES = 2_000_000
 
 
 class CapacityError(RuntimeError):
@@ -127,11 +131,12 @@ def _batch_margins(cands, refs):
     if n_refs == 0:
         raise ValueError("reference set must be non-empty")
 
-    payoff = cands[:, :, None] - refs.T[None, :, :]          # (B, X, R)
-    shift = 1.0 - payoff.min(axis=(1, 2))                    # makes payoffs >= 1
     n_cols = n_refs + n_states + 1
     tableau = np.zeros((n_cand, n_states + 1, n_cols))
-    tableau[:, :n_states, :n_refs] = payoff + shift[:, None, None]
+    payoff = tableau[:, :n_states, :n_refs]                  # (B, X, R) view
+    np.subtract(cands[:, :, None], refs.T[None, :, :], out=payoff)
+    shift = 1.0 - payoff.min(axis=(1, 2))                    # makes payoffs >= 1
+    payoff += shift[:, None, None]
     tableau[:, :n_states, n_refs:n_refs + n_states] = np.eye(n_states)
     tableau[:, :n_states, -1] = 1.0
     tableau[:, -1, :n_refs] = -1.0
@@ -154,8 +159,8 @@ def _batch_margins(cands, refs):
             rc, improvable = rc[has_move], improvable[has_move]
         body = tableau[:, :n_states, :-1]                    # (A, X, C)
         rhs = tableau[:, :n_states, -1:]
-        positive = body > _PIVOT_TOL
-        ratios = np.where(positive, rhs / np.where(positive, body, 1.0), np.inf)
+        ratios = np.divide(rhs, body, out=np.full(body.shape, np.inf),
+                           where=body > _PIVOT_TOL)
         if sweep < bland_after:
             # Greatest improvement: rc * step is minus the objective's rise
             # if that column enters; +inf masks columns that cannot improve.
@@ -200,8 +205,9 @@ def _batch_margins(cands, refs):
 def _streaming_top2(rows: np.ndarray, points: np.ndarray, block: int = 8192):
     """Per evaluation point: index and value of the best row and the value of
     the runner-up, computed in row blocks so memory stays bounded.  Each
-    block's values are laid out (P, b), points by rows, so the top-2
-    selection runs along contiguous rows."""
+    block's values are laid out (P, b), points by rows; the runner-up is the
+    row maximum once the top entry is overwritten with -inf.  Among tied
+    tops the index is arbitrary, and then runner-up equals top."""
     num_points = points.shape[0]
     top_val = np.full(num_points, -np.inf)
     second = np.full(num_points, -np.inf)
@@ -209,20 +215,14 @@ def _streaming_top2(rows: np.ndarray, points: np.ndarray, block: int = 8192):
     points_idx = np.arange(num_points)
     for start in range(0, rows.shape[0], block):
         vals = points @ rows[start:start + block].T          # (P, b)
-        if vals.shape[1] == 1:
-            blk_top, blk_sec = vals[:, 0], np.full(num_points, -np.inf)
-            blk_idx = np.full(num_points, start, dtype=np.int64)
-        else:
-            pick = np.argpartition(vals, -2, axis=1)[:, -2:]    # (P, 2)
-            pair = np.take_along_axis(vals, pick, axis=1)
-            hi = np.argmax(pair, axis=1)
-            blk_top = pair[points_idx, hi]
-            blk_sec = pair[points_idx, 1 - hi]
-            blk_idx = pick[points_idx, hi] + start
+        blk_idx = np.argmax(vals, axis=1)
+        blk_top = vals[points_idx, blk_idx]
+        vals[points_idx, blk_idx] = -np.inf
+        blk_sec = vals.max(axis=1)
         better = blk_top > top_val
         second = np.where(better, np.maximum(top_val, blk_sec),
                           np.maximum(second, blk_top))
-        top_idx = np.where(better, blk_idx, top_idx)
+        top_idx = np.where(better, blk_idx + start, top_idx)
         top_val = np.where(better, blk_top, top_val)
     return top_idx, top_val, second
 
@@ -276,13 +276,19 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
 
         # Cheap sound pre-drop: the margin against the set is at most the
         # margin against any single member, min_w max_i (v_i - w_i), so
-        # anything that bound already kills never needs an LP.
+        # anything that bound already kills never needs an LP.  The max over
+        # coordinates is a running maximum of (n, R) difference slices.
         pool_arr = np.asarray(pool)
         upper = np.empty(pool_arr.size)
+        refs_t = refs.T                                      # (X, R)
         for start in range(0, pool_arr.size, 8192):
-            part = cands_u[pool_arr[start:start + 8192]]
-            gaps = (part[:, None, :] - refs[None, :, :]).max(axis=2)
-            upper[start:start + part.shape[0]] = gaps.min(axis=1)
+            part_t = cands_u[pool_arr[start:start + 8192]].T  # (X, n)
+            gaps = np.subtract.outer(part_t[0], refs_t[0])   # (n, R)
+            diff = np.empty_like(gaps)
+            for i in range(1, num_states):
+                np.subtract.outer(part_t[i], refs_t[i], out=diff)
+                np.maximum(gaps, diff, out=gaps)
+            upper[start:start + gaps.shape[0]] = gaps.min(axis=1)
         cheap_drop = upper <= eps
         if cheap_drop.any():
             removed[pool_arr[cheap_drop]] = True
@@ -291,9 +297,8 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
             if not pool:
                 break
 
-        chunk = max(256, min(4096,
-                             33_000_000 // (8 * (num_states + 1)
-                                            * (refs.shape[0] + num_states + 1))))
+        chunk = max(1, min(4096, _LP_BATCH_BYTES // (
+            8 * (num_states + 1) * (refs.shape[0] + num_states + 1))))
         margins = np.empty(len(pool))
         witnesses = np.empty((len(pool), num_states))
         for start in range(0, len(pool), chunk):
@@ -384,7 +389,11 @@ def _backup_arrays(m: PomdpModel, vectors: np.ndarray, *, cap: int, eps: float):
                     f"cross-sum for action {u} would create {size} vectors "
                     f"(cap {cap}); use the grid solver for this model")
             current = (current[:, None, :] + proj[None, :, :]).reshape(-1, num_states)
-            current = current[_prune_arrays(current, eps)]
+            if y > 0:
+                # At y = 0 the sum is the reward row plus each pruned
+                # projection; a common shift changes no margin, so it is
+                # already pruned.
+                current = current[_prune_arrays(current, eps)]
         per_action.append(current)
     all_vectors = np.vstack(per_action)
     all_actions = np.concatenate(
@@ -445,15 +454,16 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
                      horizon=0)
         steps = max_iter
     history_grid = belief_grid(m.num_states, grid_res)
+    grid_values = vf.values_at(history_grid)
     residuals: list[float] = []
     grid_residuals: list[float] = []
     while vf.horizon < steps:
         vectors, actions = _backup_arrays(m, vf.vectors, cap=cap, eps=eps)
         new = ExactVF(vectors=vectors, actions=actions, horizon=vf.horizon + 1)
+        new_values = new.values_at(history_grid)
         residuals.append(_sup_residual(new.vectors, vf.vectors))
-        grid_residuals.append(float(np.abs(
-            new.values_at(history_grid) - vf.values_at(history_grid)).max()))
-        vf = new
+        grid_residuals.append(float(np.abs(new_values - grid_values).max()))
+        vf, grid_values = new, new_values
         if residual is not None and \
                 max(residuals[-1], grid_residuals[-1]) <= residual:
             break

@@ -45,6 +45,26 @@ def expectimax_value(m: PomdpModel, probs: np.ndarray, depth: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Belief grid and top-2 selection
+# ---------------------------------------------------------------------------
+
+def compositions_oracle(parts: int, total: int) -> list[tuple[int, ...]]:
+    """Every way to write ``total`` as an ordered sum of ``parts``
+    nonnegative integers, first part ascending, then the rest recursively."""
+    if parts == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in compositions_oracle(parts - 1, total - first)]
+
+
+def top2_sort_oracle(rows: np.ndarray, points: np.ndarray):
+    """Per point: the best and second-best row value, by a full sort."""
+    ranked = np.sort(points @ rows.T, axis=1)
+    second = ranked[:, -2] if rows.shape[0] > 1 else np.full(points.shape[0], -np.inf)
+    return ranked[:, -1], second
+
+
+# ---------------------------------------------------------------------------
 # Dense-grid envelope helpers (prune and dominance baselines)
 # ---------------------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from pomdpcheck import (Belief, ImpossibleObservationError, ModelFormatError,
                         reward_shift_controlled, reward_shift_general,
                         save_model, validate_model)
 
-from oracles import random_model
+from oracles import compositions_oracle, random_model
 
 
 def simplex_points(n):
@@ -85,6 +85,16 @@ def test_belief_grid_size_and_cache():
     assert belief_grid(3, 100) is pts        # lru-cached
     with pytest.raises(ValueError):
         pts[0, 0] = 2.0                      # read-only
+
+
+def test_belief_grid_rows_match_composition_oracle():
+    for num_states in range(1, 6):
+        for resolution in (1, 2, 5, 9):
+            expected = np.array(compositions_oracle(num_states, resolution),
+                                dtype=float) / resolution
+            pts = belief_grid(num_states, resolution)
+            assert pts.dtype == np.float64
+            assert np.array_equal(pts, expected)     # same rows, same order
 
 
 # ---------------------------------------------------------------------------

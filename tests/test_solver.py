@@ -10,12 +10,14 @@ from pomdpcheck import (CapacityError, belief_grid, gen_example,
                         gamma_monotone_report, make_model, myopic_policy_at,
                         prune, q_values, save_model, solve_exact, solve_grid,
                         vf_to_dict)
+from pomdpcheck import solver
 from pomdpcheck.cli import main
 from pomdpcheck.solver import (_POINT_BLOCK, ExactVF, _batch_margins,
-                               _grid_backup, _lowest_argmax)
+                               _grid_backup, _lowest_argmax, _streaming_top2)
 
 from oracles import (envelope_on_grid, expectimax_value, game_margin_oracle,
-                     point_backup_q, random_belief, random_model)
+                     point_backup_q, random_belief, random_model,
+                     top2_sort_oracle)
 
 
 def zero_vf(num_states):
@@ -122,6 +124,68 @@ def test_batch_margins_match_vertex_oracle():
         attained = np.einsum("brx,bx->br", cands[:, None, :] - refs[None, :, :],
                              witnesses).min(axis=1)
         assert (attained >= margins - 1e-9).all()
+
+
+def test_batch_margin_lanes_are_independent(monkeypatch):
+    # Each LP in a batch must come out bit for bit as if solved alone or in
+    # another chunk, however many lanes are still running in a sweep.
+    class ActiveLanes:
+        """Stands in for NumPy in the solver and records, per simplex
+        sweep, how many LPs are still running (one finiteness check of the
+        ratio-test minima per sweep)."""
+
+        def __init__(self):
+            self.per_sweep = []
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def isfinite(self, x):
+            self.per_sweep.append(x.shape[0])
+            return np.isfinite(x)
+
+    rng = np.random.default_rng(33)
+    refs = rng.uniform(-1.0, 1.0, (7, 3))
+    cands = rng.uniform(-1.0, 1.0, (24, 3))
+    cands[3] = refs[2]
+    cands[11] = refs.max(axis=0) - 0.5
+    spy = ActiveLanes()
+    monkeypatch.setattr(solver, "np", spy)
+    margins, witnesses = _batch_margins(cands, refs)
+    monkeypatch.undo()
+    assert len(set(spy.per_sweep)) > 1, "every LP finished at the same sweep"
+
+    alone = [_batch_margins(cands[i:i + 1], refs) for i in range(len(cands))]
+    assert np.array_equal(margins, np.concatenate([m for m, _ in alone]))
+    assert np.array_equal(witnesses, np.vstack([w for _, w in alone]))
+    head, tail = _batch_margins(cands[:10], refs), _batch_margins(cands[10:], refs)
+    assert np.array_equal(margins, np.concatenate([head[0], tail[0]]))
+    assert np.array_equal(witnesses, np.vstack([head[1], tail[1]]))
+
+
+def test_streaming_top2_matches_sort_oracle():
+    # Integer rows and beliefs in steps of 1/64 make every product exact,
+    # so blockwise and whole-matrix products agree bit for bit.
+    rng = np.random.default_rng(34)
+    eps = 1e-10
+    points = rng.multinomial(64, np.ones(3) / 3, size=40) / 64.0
+    for num_rows, block in ((50, 7), (50, 8192), (1, 7)):
+        rows = rng.integers(-1000, 1000, (num_rows, 3)).astype(float)
+        idx, top, second = _streaming_top2(rows, points, block=block)
+        want_top, want_second = top2_sort_oracle(rows, points)
+        assert np.array_equal(top, want_top)
+        assert np.array_equal(second, want_second)
+        assert np.array_equal(top, (points @ rows.T)[np.arange(40), idx])
+        if num_rows == 1:
+            assert (second == -np.inf).all() and (idx == 0).all()
+
+    # Every row twice, with the copies in different blocks: the runner-up
+    # equals the top, so no gap exceeds eps and no index is trusted.
+    rows = rng.integers(-1000, 1000, (6, 3)).astype(float)
+    idx, top, second = _streaming_top2(np.vstack([rows, rows]), points, block=4)
+    assert np.array_equal(second, top)
+    assert not (top - second > eps).any()
+    assert np.array_equal(top, top2_sort_oracle(rows, points)[0])
 
 
 def test_prune_drops_strictly_dominated_and_duplicate_pieces():
