@@ -5,7 +5,7 @@ The package splits into five layers:
 
 * :mod:`pomdpcheck.model` — model container, validation, belief updates,
   the belief grid, reward shifts, JSON I/O.
-* :mod:`pomdpcheck.lp` — dense two-phase simplex for feasibility/optimality.
+* :mod:`pomdpcheck.lp` — dense phase-1 simplex for feasibility problems.
 * :mod:`pomdpcheck.orders` — MLR/FOSD/TP2 predicates, copositive dominance,
   Lehmann precision, boundary checks, Blackwell and reverse factorizations.
 * :mod:`pomdpcheck.solver` — exact alpha-vector value iteration with LP

@@ -14,7 +14,8 @@ compare   Two-model value comparison under the cross-model hypotheses;
 gen       Emit a bundled example model (round-trips byte-identically).
 
 Exit codes: 0 success, 1 violated expectations, 2 input or numerical errors
-(malformed JSON, dimension mismatches, LP failures, solver non-convergence).
+(malformed JSON, dimension mismatches, LP failures, solver non-convergence,
+an exact cross-sum over its vector cap).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import sys
 from .examples import gen_example, list_examples
 from .model import ModelFormatError, belief_grid, load_model, model_to_json, \
     validate_model
-from .solver import (TIE_TOL, _lowest_argmax, _mode_or_error, _q_batch,
-                     gamma_monotone_report, vf_to_dict)
+from .solver import (TIE_TOL, CapacityError, _lowest_argmax, _mode_or_error,
+                     _q_batch, gamma_monotone_report, vf_to_dict)
 from .structural import (DEFAULT_RESIDUAL, SHAPE_TOL, RANGE_TOL,
                          assumption_report, compare_models,
                          solve_for_verification, verification_report)
@@ -261,7 +262,8 @@ def main(argv: list[str] | None = None) -> int:
             _check_solver_args(args)
         return _COMMANDS[args.command](args)
     except (ModelFormatError, ValueError, KeyError, TypeError,
-            ArithmeticError, OSError, json.JSONDecodeError) as exc:
+            ArithmeticError, CapacityError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

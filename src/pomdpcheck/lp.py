@@ -1,8 +1,12 @@
-"""Dense two-phase simplex kernel for the small linear programs in this package.
+"""Dense phase-1 simplex kernel for the small feasibility problems in this
+package: Blackwell and reverse factorizations and the general reward shift.
 
 Everything is deliberately plain: one dense tableau, Bland's anti-cycling
 pivot rule, explicit tolerances.  Problem sizes here top out around a few
 hundred columns, so predictability is worth more than sparse-matrix tricks.
+No caller has an objective, so there is no phase 2: the point is read from
+the phase-1 basis and accepted only after its residuals are checked on the
+original rows.
 """
 
 from __future__ import annotations
@@ -11,92 +15,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-OPTIMAL = "optimal"
+FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical_failure"
 
 FEAS_TOL = 1e-8
-PIVOT_TOL = 1e-11
+_PIVOT_TOL = 1e-11
 _RC_TOL = 1e-9  # reduced-cost threshold for entering columns
 _BOUND_SLACK = 1e-9  # how far below zero a returned coordinate may sit
 
 
-class LpError(RuntimeError):
-    """Raised when the simplex kernel cannot certify any outcome."""
-
-
-def _as_matrix(a, rows=None, cols=None, name=""):
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D array, got shape {m.shape}")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"{name} has {m.shape[0]} rows, expected {rows}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"{name} has {m.shape[1]} columns, expected {cols}")
-    return m
-
-
-@dataclass(frozen=True, eq=False)
-class LinearProgram:
-    """min c'x  subject to  a_eq x = b_eq,  g_ub x <= h_ub,  x >= 0.
-
-    Coordinates flagged in ``free`` drop the nonnegativity bound.
-    """
-
-    c: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    g_ub: np.ndarray | None = None
-    h_ub: np.ndarray | None = None
-    free: np.ndarray | None = None
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        if c.ndim != 1:
-            raise ValueError("objective must be a vector")
-        n = c.size
-        object.__setattr__(self, "c", c)
-        if (self.a_eq is None) != (self.b_eq is None):
-            raise ValueError("a_eq and b_eq must be given together")
-        if (self.g_ub is None) != (self.h_ub is None):
-            raise ValueError("g_ub and h_ub must be given together")
-        if self.a_eq is not None:
-            a = _as_matrix(self.a_eq, cols=n, name="a_eq")
-            b = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
-            if b.size != a.shape[0]:
-                raise ValueError("b_eq length does not match a_eq")
-            object.__setattr__(self, "a_eq", a)
-            object.__setattr__(self, "b_eq", b)
-        if self.g_ub is not None:
-            g = _as_matrix(self.g_ub, cols=n, name="g_ub")
-            h = np.atleast_1d(np.asarray(self.h_ub, dtype=float))
-            if h.size != g.shape[0]:
-                raise ValueError("h_ub length does not match g_ub")
-            object.__setattr__(self, "g_ub", g)
-            object.__setattr__(self, "h_ub", h)
-        if self.free is not None:
-            f = np.asarray(self.free, dtype=bool)
-            if f.shape != (n,):
-                raise ValueError("free mask length does not match objective")
-            object.__setattr__(self, "free", f)
-
-    @property
-    def num_vars(self) -> int:
-        return self.c.size
-
-
 @dataclass(frozen=True, eq=False)
 class LpOutcome:
-    """Solver verdict: status string, solution point, objective value."""
+    """Solver verdict: status string and, when feasible, the point found."""
 
     status: str
     x: np.ndarray | None = None
-    objective: float | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status == OPTIMAL
+
+def _as_rows(a, rhs, num_vars, name):
+    """Validated (matrix, rhs) pair; an absent pair becomes zero rows."""
+    if (a is None) != (rhs is None):
+        raise ValueError(f"{name} matrix and right-hand side must be given together")
+    if a is None:
+        return np.zeros((0, num_vars)), np.zeros(0)
+    mat = np.asarray(a, dtype=float)
+    if mat.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D array, got shape {mat.shape}")
+    if mat.shape[1] != num_vars:
+        raise ValueError(f"{name} has {mat.shape[1]} columns, expected {num_vars}")
+    vec = np.atleast_1d(np.asarray(rhs, dtype=float))
+    if vec.shape != (mat.shape[0],):
+        raise ValueError(f"{name} right-hand side length does not match its rows")
+    return mat, vec
 
 
 def _pivot(tableau, basis, row, col):
@@ -110,167 +61,85 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _iterate(tableau, basis, n_enterable, pivot_tol, max_iter):
-    """Bland-rule simplex loop on a tableau whose last row holds reduced costs.
-
-    Only the first ``n_enterable`` columns may enter the basis.
-    """
+def _phase1(tableau, basis, n_enterable, max_iter) -> bool:
+    """Bland-rule simplex loop on a tableau whose last row holds reduced
+    costs; only the first ``n_enterable`` columns may enter.  The phase-1
+    objective is bounded below by zero, so a column with no positive pivot
+    means the tableau has lost accuracy: False then, and on running out of
+    iterations."""
     for _ in range(max_iter):
-        reduced = tableau[-1, :n_enterable]
-        negative = np.flatnonzero(reduced < -_RC_TOL)
+        negative = np.flatnonzero(tableau[-1, :n_enterable] < -_RC_TOL)
         if negative.size == 0:
-            return OPTIMAL
+            return True
         enter = negative[0]
         col = tableau[:-1, enter]
-        pos = col > pivot_tol
+        pos = col > _PIVOT_TOL
         if not pos.any():
-            if (col > 0).any():
-                return NUMERICAL_FAILURE
-            return UNBOUNDED
+            return False
         ratios = np.full(col.shape, np.inf)
         ratios[pos] = tableau[:-1, -1][pos] / col[pos]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios == best)
-        leave = ties[np.argmin(basis[ties])]
-        _pivot(tableau, basis, leave, enter)
-    return NUMERICAL_FAILURE
+        ties = np.flatnonzero(ratios == ratios.min())
+        _pivot(tableau, basis, ties[np.argmin(basis[ties])], enter)
+    return False
 
 
-def _standardize(prob: LinearProgram):
-    """Rewrite as  min c'z, A z = b, z >= 0  with b >= 0.
+def lp_solve(a_eq=None, b_eq=None, g_ub=None, h_ub=None, *,
+             free=None) -> LpOutcome:
+    """Find x with  a_eq x = b_eq,  g_ub x <= h_ub,  x >= 0.
 
-    Free variables are split into positive and negative parts; inequality
-    rows get slack columns.
+    Coordinates flagged in ``free`` drop the nonnegativity bound.  Free
+    coordinates are split into positive and negative parts, inequality rows
+    get slack columns, and every row gets an artificial column whose sum
+    phase 1 minimizes.  Infeasibility is certified by a phase-1 optimum above
+    ``FEAS_TOL`` and never conflated with numerical failure, which is
+    reported when the loop stalls or the point misses a row or bound.
     """
-    n = prob.num_vars
-    free_idx = np.flatnonzero(prob.free) if prob.free is not None else np.array([], dtype=int)
-    blocks = []
-    rhs = []
-    if prob.a_eq is not None and prob.a_eq.shape[0]:
-        blocks.append(prob.a_eq)
-        rhs.append(prob.b_eq)
-    n_ub = prob.g_ub.shape[0] if prob.g_ub is not None else 0
-    if n_ub:
-        blocks.append(prob.g_ub)
-        rhs.append(prob.h_ub)
-    if blocks:
-        base = np.vstack(blocks)
-        b = np.concatenate(rhs).astype(float)
-    else:
-        base = np.zeros((0, n))
-        b = np.zeros(0)
-    m = base.shape[0]
-    cols = [base]
-    if free_idx.size:
-        cols.append(-base[:, free_idx])
-    if n_ub:
-        slack = np.zeros((m, n_ub))
-        slack[m - n_ub:, :] = np.eye(n_ub)
-        cols.append(slack)
-    a_std = np.hstack(cols)
-    c_std = np.concatenate([prob.c, -prob.c[free_idx], np.zeros(n_ub)])
-    flip = b < 0
+    if a_eq is None and g_ub is None:
+        raise ValueError("at least one constraint block is required")
+    shape = np.shape(a_eq if a_eq is not None else g_ub)
+    if len(shape) != 2:
+        raise ValueError(f"constraint matrices must be 2-D, got shape {shape}")
+    num_vars = shape[1]
+    a_eq, b_eq = _as_rows(a_eq, b_eq, num_vars, "a_eq")
+    g_ub, h_ub = _as_rows(g_ub, h_ub, num_vars, "g_ub")
+    free = np.zeros(num_vars, dtype=bool) if free is None \
+        else np.asarray(free, dtype=bool)
+    if free.shape != (num_vars,):
+        raise ValueError("free mask length does not match the variables")
+
+    base = np.vstack([a_eq, g_ub])
+    rhs = np.concatenate([b_eq, h_ub])
+    m, n_ub = base.shape[0], g_ub.shape[0]
+    slack = np.zeros((m, n_ub))
+    slack[m - n_ub:] = np.eye(n_ub)
+    a_std = np.hstack([base, -base[:, free], slack])
+    flip = rhs < 0
     a_std[flip] *= -1.0
-    b = np.abs(b)
-    return a_std, b, c_std, free_idx
+    rhs = np.abs(rhs)
+    n_std = a_std.shape[1]
 
-
-def lp_solve(prob: LinearProgram, feas_tol: float = FEAS_TOL,
-             pivot_tol: float = PIVOT_TOL) -> LpOutcome:
-    """Solve a small dense LP with the two-phase simplex method.
-
-    Returns an :class:`LpOutcome`; infeasibility is certified by a phase-1
-    optimum above ``feas_tol`` and never conflated with numerical failure.
-    """
-    a_std, b, c_std, free_idx = _standardize(prob)
-    m, n_std = a_std.shape
-    max_iter = 1000 + 40 * (m + n_std)
-
-    # Phase 1: artificial variable on every row, minimize their sum.
     tableau = np.zeros((m + 1, n_std + m + 1))
     tableau[:m, :n_std] = a_std
     tableau[:m, n_std:n_std + m] = np.eye(m)
-    tableau[:m, -1] = b
+    tableau[:m, -1] = rhs
     tableau[-1, :n_std] = -a_std.sum(axis=0)
-    tableau[-1, -1] = -b.sum()
+    tableau[-1, -1] = -rhs.sum()
     basis = np.arange(n_std, n_std + m)
-    status = _iterate(tableau, basis, n_std, pivot_tol, max_iter)
-    if status != OPTIMAL:
+    if not _phase1(tableau, basis, n_std, 1000 + 40 * (m + n_std)):
         return LpOutcome(status=NUMERICAL_FAILURE)
-    phase1 = -tableau[-1, -1]
-    if phase1 > feas_tol:
+    if -tableau[-1, -1] > FEAS_TOL:
         return LpOutcome(status=INFEASIBLE)
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep_rows = []
-    for r in range(m):
-        if basis[r] < n_std:
-            keep_rows.append(r)
-            continue
-        row = tableau[r, :n_std]
-        cand = np.flatnonzero(np.abs(row) > pivot_tol)
-        if cand.size:
-            _pivot(tableau, basis, r, cand[0])
-            keep_rows.append(r)
-    if len(keep_rows) < m:
-        rows = keep_rows + [m]
-        tableau = tableau[rows]
-        basis = basis[keep_rows]
-        m = len(keep_rows)
-
-    # Phase 2 on the original objective, artificial columns removed.
-    tableau = np.hstack([tableau[:, :n_std], tableau[:, -1:]])
-    tableau[-1, :n_std] = c_std
-    tableau[-1, -1] = 0.0
-    for r in range(m):
-        coeff = tableau[-1, basis[r]]
-        if coeff != 0.0:
-            tableau[-1] -= coeff * tableau[r]
-    status = _iterate(tableau, basis, n_std, pivot_tol, max_iter)
-    if status != OPTIMAL:
-        return LpOutcome(status=status)
-
-    x_std = np.zeros(n_std)
+    # Artificials left in the basis sit at or below the phase-1 optimum and
+    # are simply not read back.
+    x_std = np.zeros(n_std + m)
     x_std[basis] = tableau[:m, -1]
-    n = prob.num_vars
-    x = x_std[:n].copy()
-    for k, j in enumerate(free_idx):
-        x[j] -= x_std[n + k]
+    x = x_std[:num_vars].copy()
+    x[free] -= x_std[num_vars:num_vars + int(free.sum())]
 
-    if not _residuals_ok(prob, x, feas_tol):
-        return LpOutcome(status=NUMERICAL_FAILURE)
-    return LpOutcome(status=OPTIMAL, x=x, objective=float(prob.c @ x))
-
-
-def _residuals_ok(prob: LinearProgram, x, feas_tol) -> bool:
-    if not np.isfinite(x).all():
-        return False
-    if prob.a_eq is not None and prob.a_eq.shape[0]:
-        if np.abs(prob.a_eq @ x - prob.b_eq).max() > feas_tol:
-            return False
-    if prob.g_ub is not None and prob.g_ub.shape[0]:
-        if (prob.g_ub @ x - prob.h_ub).max() > feas_tol:
-            return False
-    bounded = np.ones(x.size, dtype=bool) if prob.free is None else ~prob.free
-    if bounded.any() and x[bounded].min() < -_BOUND_SLACK:
-        return False
-    return True
-
-
-def lp_feasible(a_eq=None, b_eq=None, g_ub=None, h_ub=None, *, num_vars=None,
-                free=None, feas_tol: float = FEAS_TOL,
-                pivot_tol: float = PIVOT_TOL) -> LpOutcome:
-    """Phase-1 feasibility wrapper: solve with a zero objective.
-
-    ``num_vars`` may be omitted when any constraint matrix is present.
-    """
-    if num_vars is None:
-        if a_eq is not None:
-            num_vars = np.asarray(a_eq).shape[1]
-        elif g_ub is not None:
-            num_vars = np.asarray(g_ub).shape[1]
-        else:
-            raise ValueError("num_vars required when no constraints are given")
-    prob = LinearProgram(c=np.zeros(num_vars), a_eq=a_eq, b_eq=b_eq,
-                         g_ub=g_ub, h_ub=h_ub, free=free)
-    return lp_solve(prob, feas_tol=feas_tol, pivot_tol=pivot_tol)
+    ok = (np.isfinite(x).all()
+          and (a_eq.shape[0] == 0 or np.abs(a_eq @ x - b_eq).max() <= FEAS_TOL)
+          and (n_ub == 0 or (g_ub @ x - h_ub).max() <= FEAS_TOL)
+          and (free.all() or x[~free].min() >= -_BOUND_SLACK))
+    return LpOutcome(status=FEASIBLE if ok else NUMERICAL_FAILURE,
+                     x=x if ok else None)

@@ -288,9 +288,9 @@ def reward_shift_general(m: PomdpModel, margin: float = SHIFT_MARGIN) -> ShiftFe
     rows = _shift_rows(m)
     if rows.size == 0:
         return ShiftFeasibility(status="feasible", f=np.zeros(m.num_states))
-    outcome = lp.lp_feasible(g_ub=-rows, h_ub=-margin * np.ones(rows.shape[0]),
-                             free=np.ones(m.num_states, dtype=bool))
-    if outcome.status == lp.OPTIMAL:
+    outcome = lp.lp_solve(g_ub=-rows, h_ub=-margin * np.ones(rows.shape[0]),
+                          free=np.ones(m.num_states, dtype=bool))
+    if outcome.status == lp.FEASIBLE:
         return ShiftFeasibility(status="feasible", f=outcome.x)
     if outcome.status == lp.INFEASIBLE:
         return ShiftFeasibility(status="infeasible")

@@ -26,7 +26,7 @@ from .model import Belief, belief_grid  # noqa: F401
 
 PAIR_TOL = 1e-12
 COPOSITIVE_MARGIN = 1e-9
-FACTOR_RESIDUAL_TOL = 1e-8
+FACTOR_RESIDUAL_TOL = lp.FEAS_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +308,7 @@ def check_a7(b1, b2, tol: float = PAIR_TOL) -> OrderVerdict:
 
 
 def _solve_factor(product_rows: np.ndarray, product_rhs: np.ndarray,
-                  shape: tuple[int, int], residual_of, feas_tol: float) -> OrderVerdict:
+                  shape: tuple[int, int], residual_of) -> OrderVerdict:
     """Feasibility core shared by the two factorization tests.
 
     Finds a row-stochastic matrix of the given shape (flattened row-major in
@@ -317,15 +317,14 @@ def _solve_factor(product_rows: np.ndarray, product_rhs: np.ndarray,
     """
     rows_f, cols_f = shape
     sum_rows = np.kron(np.eye(rows_f), np.ones((1, cols_f)))
-    outcome = lp.lp_feasible(
+    outcome = lp.lp_solve(
         a_eq=np.vstack([product_rows, sum_rows]),
-        b_eq=np.concatenate([product_rhs, np.ones(rows_f)]),
-        feas_tol=feas_tol)
+        b_eq=np.concatenate([product_rhs, np.ones(rows_f)]))
     if outcome.status == lp.INFEASIBLE:
         return OrderVerdict(holds=False, witness={
             "kind": "factorization_infeasible",
             "detail": f"no row-stochastic factor within residual {FACTOR_RESIDUAL_TOL}"})
-    if outcome.status != lp.OPTIMAL:
+    if outcome.status != lp.FEASIBLE:
         return OrderVerdict(holds=None, witness={"kind": "lp_numerical_failure"})
     factor = outcome.x.reshape(rows_f, cols_f).copy()
     residual = float(residual_of(factor))
@@ -338,8 +337,7 @@ def _solve_factor(product_rows: np.ndarray, product_rhs: np.ndarray,
     return OrderVerdict(holds=True, factor=factor)
 
 
-def blackwell_dominates(b_high, b_low,
-                        feas_tol: float = FACTOR_RESIDUAL_TOL) -> OrderVerdict:
+def blackwell_dominates(b_high, b_low) -> OrderVerdict:
     """Is b_low a garbling of b_high?  Holds iff a row-stochastic L exists
     with b_high @ L = b_low (within the residual tolerance).
 
@@ -354,12 +352,10 @@ def blackwell_dominates(b_high, b_low,
         product_rows=np.kron(hi / scale, np.eye(lo.shape[1])),
         product_rhs=(lo / scale).reshape(-1),
         shape=(hi.shape[1], lo.shape[1]),
-        residual_of=lambda f: np.abs(hi @ f - lo).max(),
-        feas_tol=feas_tol)
+        residual_of=lambda f: np.abs(hi @ f - lo).max())
 
 
-def reverse_factorization(b_low, b_high,
-                          feas_tol: float = FACTOR_RESIDUAL_TOL) -> OrderVerdict:
+def reverse_factorization(b_low, b_high) -> OrderVerdict:
     """Does a row-stochastic state-mixing factor M exist with
     M @ b_high = b_low (within the residual tolerance)?"""
     lo, hi = _mat(b_low, "b_low"), _mat(b_high, "b_high")
@@ -370,5 +366,4 @@ def reverse_factorization(b_low, b_high,
         product_rows=np.kron(np.eye(lo.shape[0]), hi.T / scale),
         product_rhs=(lo / scale).reshape(-1),
         shape=(lo.shape[0], hi.shape[0]),
-        residual_of=lambda f: np.abs(f @ hi - lo).max(),
-        feas_tol=feas_tol)
+        residual_of=lambda f: np.abs(f @ hi - lo).max())

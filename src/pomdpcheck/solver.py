@@ -15,6 +15,7 @@ phase-1 start is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil, log
 
 import numpy as np
 
@@ -432,8 +433,9 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
     """Exact value iteration, either for a fixed horizon or to a residual.
 
     Horizon mode starts from the zero value function and performs exactly
-    ``horizon`` backups.  Residual mode warm-starts from a converged grid
-    solve (sound: the stopping rule depends only on the distance between
+    ``horizon`` backups.  Residual mode warm-starts from a grid solve of
+    the same stop rule, which runs a fixed sweep count and so cannot fail
+    (sound: the stopping rule depends only on the distance between
     consecutive exact iterates, not on the starting point) and stops when
     both the LP-certified sup-norm change and the grid-measured change drop
     to ``residual`` or below.  Raises CapacityError when a cross-sum would
@@ -447,8 +449,7 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
                      actions=np.zeros(1, dtype=int), horizon=0)
         steps = int(horizon)
     else:
-        seed = solve_grid(m, resolution=grid_res, residual=residual,
-                          max_iter=max_iter)
+        seed = solve_grid(m, resolution=grid_res, residual=residual)
         kept = _prune_arrays(seed.vectors, eps)
         vf = ExactVF(vectors=seed.vectors[kept], actions=seed.actions[kept],
                      horizon=0)
@@ -522,9 +523,22 @@ def _grid_backup(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray):
     return values, alphas, acts
 
 
+def _residual_sweeps(m: PomdpModel, residual: float) -> int:
+    """Sweep count whose tail bound rho^k * Rmax matches the residual target.
+
+    After k backups from the zero function the distance to the fixed point
+    is at most rho^k * Rmax / (1 - rho); the smallest k with
+    rho^k * Rmax <= residual is ceil(log(residual / Rmax) / log rho).
+    """
+    rmax = float(np.abs(m.reward).max())
+    if m.discount <= 0.0 or rmax <= 0.0 or residual >= rmax:
+        return 1
+    return max(1, ceil(log(residual / rmax) / log(m.discount)))
+
+
 def solve_grid(m: PomdpModel, *, resolution: int = 100,
-               horizon: int | None = None, residual: float | None = None,
-               max_iter: int = 100_000) -> GridVF:
+               horizon: int | None = None,
+               residual: float | None = None) -> GridVF:
     """Point-based value iteration on the barycentric belief grid.
 
     Each sweep backs up every grid point against the carried set, which is
@@ -532,8 +546,14 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
     grid point.  The resulting envelope is a convex lower bound on the exact
     value function (each backup is an exact Bellman backup of a lower
     approximation), exact at grid points for the horizon solved.
+
+    A ``residual`` target runs the a-priori sweep count of
+    :func:`_residual_sweeps`, since the point-based change can floor above a
+    small target; ``residual`` on the result is the change actually reached.
     """
     _mode_or_error(horizon, residual)
+    sweeps = int(horizon) if horizon is not None \
+        else _residual_sweeps(m, float(residual))
     beliefs = belief_grid(m.num_states, resolution)
     num_points = beliefs.shape[0]
     vectors = np.zeros((1, m.num_states))
@@ -541,46 +561,18 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
     point_vector = np.zeros(num_points, dtype=int)
     values = np.zeros(num_points)
     history: list[float] = []
-    last_res = float("inf")
-    best_res = float("inf")
-    sweeps_since_gain = 0
-    iterations = 0
-    while True:
-        if horizon is not None and iterations >= int(horizon):
-            break
-        if horizon is None and iterations >= max_iter:
-            raise ArithmeticError("grid value iteration failed to converge")
+    for _ in range(sweeps):
         new_values, alphas, acts = _grid_backup(m, vectors, beliefs)
-        last_res = float(np.abs(new_values - values).max())
-        history.append(last_res)
-        # The point-based iteration is an exact Bellman update only at the
-        # grid points, so its residual can bottom out at a resolution-
-        # dependent floor instead of contracting all the way to zero.  Detect
-        # that early rather than spinning until max_iter.
-        if residual is not None and last_res > residual:
-            if last_res < best_res * 0.99:
-                best_res = last_res
-                sweeps_since_gain = 0
-            else:
-                sweeps_since_gain += 1
-                if sweeps_since_gain >= 120:
-                    raise ArithmeticError(
-                        f"grid value iteration stalled near residual "
-                        f"{best_res:.3e}, above the target {residual:.3e}; "
-                        f"the point-based fixed point at resolution "
-                        f"{resolution} has a floor — increase the resolution "
-                        f"or relax the residual")
+        history.append(float(np.abs(new_values - values).max()))
         vectors, first_idx, point_vector = np.unique(
             alphas, axis=0, return_index=True, return_inverse=True)
         point_vector = point_vector.reshape(-1)
         actions = acts[first_idx]
         values = new_values
-        iterations += 1
-        if residual is not None and last_res <= residual:
-            break
     return GridVF(beliefs=beliefs, values=values, vectors=vectors,
                   actions=actions, point_vector=point_vector,
-                  iterations=iterations, residual=last_res,
+                  iterations=sweeps,
+                  residual=history[-1] if history else float("inf"),
                   residuals=tuple(history))
 
 

@@ -10,23 +10,25 @@ function: myopic lower-bound policy dominance, monotonicity of the
 information gain across actions (predicted for Blackwell-ordered sensors
 only), convex dominance of posterior tails (the psi sweep), posterior-range
 containment, and monotone/convex value shape along lines toward the last
-vertex.
+vertex.  The psi and range checks read one (N, U, Y) tensor of posterior
+tails per call and run across all beliefs at once; the shape check draws
+all its lines at once and reduces their values in one step.
 
 Verification never asserts: hypotheses may fail, in which case the checks
 still run and report diagnostics, because the structural conditions are
 sufficient rather than necessary.  Comparisons on infinite-horizon proxies
 carry an additive slack computed from the requested stop rule
-(:func:`slack_budget`), not from the residual the solve reached.  The two
-can disagree: ``verify ex2 --grid 35`` stops at residual 7.8e-6 against a
-requested 1e-8 and still reports slack 2e-7, so a verdict is not always
-decidable from what was computed.  ROADMAP item 1 replaces the slack with
-two-sided value bounds.
+(:func:`slack_budget`), not from the residual the solve reached.  A grid
+residual target is an a-priori sweep count, so the two can disagree:
+``verify ex2 --grid 35`` stops at residual 7.8e-6 against a requested 1e-8
+and still reports slack 2e-7, so a verdict is not always decidable from
+what was computed.  ROADMAP item 1 replaces the slack with two-sided value
+bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log
 
 import numpy as np
 
@@ -198,45 +200,23 @@ def slack_budget(m: PomdpModel, *, residual: float | None = None,
     return 2.0 * (m.discount ** int(horizon)) * rmax / one_minus
 
 
-def _residual_sweeps(m: PomdpModel, residual: float) -> int:
-    """Sweep count whose tail bound rho^k * Rmax matches the residual target.
-
-    After k backups from the zero function the distance to the fixed point
-    is at most rho^k * Rmax / (1 - rho); choosing the smallest k with
-    rho^k * Rmax <= residual puts the horizon-mode solve inside the same
-    slack budget that a residual-mode stop at tau would earn.
-    """
-    rmax = float(np.abs(m.reward).max())
-    if m.discount <= 0.0 or rmax <= 0.0 or residual >= rmax:
-        return 1
-    return max(1, ceil(log(residual / rmax) / log(m.discount)))
-
-
 def solve_for_verification(m: PomdpModel, *, method: str = "grid",
                            resolution: int = DEFAULT_RESOLUTION,
                            horizon: int | None = None,
                            residual: float | None = None):
     """Produce the value function the verification harness measures against.
 
-    ``method="exact"`` forwards to the exact solver as-is.  ``method="grid"``
-    with an explicit horizon runs that many point-based sweeps; with a
-    residual target it runs the deterministic sweep count from
-    :func:`_residual_sweeps` instead of iterating to the target, because the
-    point-based iteration can bottom out at a resolution-dependent floor
-    above any small target.  The returned value function records the last
-    sweep's actual change, so reports can state the achieved residual next
-    to the requested one.
+    ``method`` picks :func:`solve_grid` or :func:`solve_exact`, called with
+    the given resolution and stop rule.  A grid residual target runs the
+    a-priori sweep count of ``solver._residual_sweeps``; the returned value
+    function records the change actually reached, so reports can state the
+    achieved residual next to the requested one.
     """
-    _mode_or_error(horizon, residual)
-    if method == "exact":
-        return solve_exact(m, horizon=horizon, residual=residual,
-                           resolution=resolution)
-    if method != "grid":
+    solvers = {"grid": solve_grid, "exact": solve_exact}
+    if method not in solvers:
         raise ValueError(f"unknown solver method: {method!r}")
-    if horizon is not None:
-        return solve_grid(m, resolution=resolution, horizon=horizon)
-    sweeps = _residual_sweeps(m, float(residual))
-    return solve_grid(m, resolution=resolution, horizon=sweeps)
+    return solvers[method](m, resolution=resolution, horizon=horizon,
+                           residual=residual)
 
 
 def _achieved_residual(vf) -> float | None:
@@ -339,12 +319,17 @@ def verify_q_diff_monotone(m: PomdpModel, vf, *,
 # Posterior-tail convex dominance (psi) and range containment
 # ---------------------------------------------------------------------------
 
-def _posterior_tails(m: PomdpModel, probs: np.ndarray, u: int):
-    """Last coordinate of each unnormalized posterior and its mass:
-    tail_y = z_y[-1], sigma_y = 1'z_y for z_y = B(u)[:, y] * (P' pi)."""
-    predicted = m.transition[u].T @ probs
-    z = m.observation[u] * predicted[:, None]    # (X, Y) columns are z_y
-    return z[-1, :].copy(), z.sum(axis=0)
+def _posterior_tails(m: PomdpModel, beliefs: np.ndarray):
+    """Three (N, U, Y) arrays over belief rows, actions and observations:
+    tail = z_y[-1] and sigma = 1'z_y for z_y = B(u)[:, y] * (P(u)' pi), and
+    tail / sigma, parked at 0 where sigma = 0 (callers mask by sigma > 0)."""
+    predicted = (np.swapaxes(m.transition, 1, 2)
+                 @ beliefs[:, None, :, None])[..., 0]     # (N, U, X)
+    z = m.observation[None] * predicted[..., None]         # (N, U, X, Y)
+    tails, sigmas = z[:, :, -1, :], z.sum(axis=2)
+    normalized = np.divide(tails, sigmas, out=np.zeros_like(tails),
+                           where=sigmas > 0.0)
+    return tails, sigmas, normalized
 
 
 def psi(m: PomdpModel, pi, u_low: int, u_high: int, lam: float) -> float:
@@ -364,53 +349,48 @@ def psi(m: PomdpModel, pi, u_low: int, u_high: int, lam: float) -> float:
     for u in (u_low, u_high):
         if not 0 <= u < m.num_actions:
             raise ValueError(f"action index {u} out of range")
-    probs = as_belief(pi).probs
+    tails, sigmas, _ = _posterior_tails(m, as_belief(pi).probs[None, :])
     total = 0.0
     for u, sign in ((u_high, 1.0), (u_low, -1.0)):
-        tails, sigmas = _posterior_tails(m, probs, u)
-        total += sign * float(np.maximum(tails - lam * sigmas, 0.0).sum())
+        total += sign * float(np.maximum(tails[0, u] - lam * sigmas[0, u],
+                                          0.0).sum())
     return total
 
 
 def psi_sweep(m: PomdpModel, beliefs, *,
-              num_lambda: int = PSI_LAMBDA_POINTS,
-              include_breakpoints: bool = True) -> dict:
+              num_lambda: int = PSI_LAMBDA_POINTS) -> dict:
     """Minimum of psi over a lambda sweep, per belief and action pair.
 
-    Evaluates psi on the uniform [0, 1] grid of ``num_lambda`` points plus
-    (by default) the exact breakpoints of each (belief, pair); since psi is
-    piecewise linear in lambda, grid plus breakpoints is exhaustive.
+    Evaluates psi, for all beliefs at once, on the uniform [0, 1] grid of
+    ``num_lambda`` points plus the exact breakpoints tail / sigma of each
+    (belief, pair); since psi is piecewise linear in lambda, grid plus
+    breakpoints is exhaustive.  A breakpoint of an observation with
+    sigma = 0 is parked at lambda = 0, which the grid already holds.
     Returns the minima matrix (num_beliefs, num_pairs), the overall minimum,
     and the endpoint values psi(0) and psi(1), which must vanish.
     """
     if not m.shared_transition:
         raise ValueError("psi_sweep requires a shared transition matrix")
     pts = np.atleast_2d(np.asarray(beliefs, dtype=float))
+    tails, sigmas, breaks = _posterior_tails(m, pts)
     num_pairs = m.num_actions - 1
-    base = np.linspace(0.0, 1.0, num_lambda)
+    base = np.broadcast_to(np.linspace(0.0, 1.0, num_lambda),
+                           (pts.shape[0], num_lambda))
     minima = np.empty((pts.shape[0], num_pairs))
     end_low = np.empty((pts.shape[0], num_pairs))
     end_high = np.empty((pts.shape[0], num_pairs))
-    for b, probs in enumerate(pts):
-        tails_all, sigmas_all = zip(*(_posterior_tails(m, probs, u)
-                                      for u in range(m.num_actions)))
-        for p in range(num_pairs):
-            lams = base
-            if include_breakpoints:
-                extra = []
-                for u in (p, p + 1):
-                    live = sigmas_all[u] > 0.0
-                    extra.append(tails_all[u][live] / sigmas_all[u][live])
-                lams = np.unique(np.concatenate([base, *extra]))
-            def piece(u):
-                clipped = np.maximum(
-                    tails_all[u][None, :] - lams[:, None] * sigmas_all[u][None, :],
-                    0.0)
-                return clipped.sum(axis=1)
-            values = piece(p + 1) - piece(p)
-            minima[b, p] = values.min()
-            end_low[b, p] = values[0]       # lam = 0 is always first
-            end_high[b, p] = values[lams.searchsorted(1.0)]
+    for p in range(num_pairs):
+        lams = np.concatenate([base, breaks[:, p], breaks[:, p + 1]], axis=1)
+
+        def piece(u):
+            clipped = np.maximum(tails[:, u, None, :]
+                                 - lams[:, :, None] * sigmas[:, u, None, :],
+                                 0.0)                      # (N, L, Y)
+            return clipped.sum(axis=2)
+        values = piece(p + 1) - piece(p)
+        minima[:, p] = values.min(axis=1)
+        end_low[:, p] = values[:, 0]
+        end_high[:, p] = values[:, num_lambda - 1]
     return {
         "minima": minima,
         "min": float(minima.min()) if minima.size else None,
@@ -426,31 +406,24 @@ def verify_range_containment(m: PomdpModel, beliefs, u_low: int, u_high: int,
     """Check that the posterior-tail range of the higher action contains the
     lower action's range at every belief.
 
-    Only observations with positive probability contribute.  Records each
-    belief where min(high tails) > min(low tails) + tol or
+    Only observations with positive probability contribute, and a belief
+    where either action has none is skipped.  Records each belief where
+    min(high tails) > min(low tails) + tol or
     max(high tails) < max(low tails) - tol.
     """
     pts = np.atleast_2d(np.asarray(beliefs, dtype=float))
-    failures = []
-    for probs in pts:
-        spans = {}
-        for u in (u_low, u_high):
-            tails, sigmas = _posterior_tails(m, probs, u)
-            live = sigmas > 0.0
-            if not live.any():
-                spans = None
-                break
-            normalized = tails[live] / sigmas[live]
-            spans[u] = (float(normalized.min()), float(normalized.max()))
-        if spans is None:
-            continue
-        low_span, high_span = spans[u_low], spans[u_high]
-        if high_span[0] > low_span[0] + tol or high_span[1] < low_span[1] - tol:
-            failures.append({
-                "belief": [float(x) for x in probs],
-                "low_range": list(low_span),
-                "high_range": list(high_span),
-            })
+    _, sigmas, normalized = _posterior_tails(m, pts)
+    pair = [u_low, u_high]
+    live = sigmas[:, pair] > 0.0                           # (N, 2, Y)
+    lows = np.min(normalized[:, pair], axis=2, where=live, initial=np.inf)
+    highs = np.max(normalized[:, pair], axis=2, where=live, initial=-np.inf)
+    bad = live.any(axis=2).all(axis=1) & (
+        (lows[:, 1] > lows[:, 0] + tol) | (highs[:, 1] < highs[:, 0] - tol))
+    failures = [{
+        "belief": [float(x) for x in pts[i]],
+        "low_range": [float(lows[i, 0]), float(highs[i, 0])],
+        "high_range": [float(lows[i, 1]), float(highs[i, 1])],
+    } for i in np.flatnonzero(bad)]
     return {
         "holds": not failures,
         "failures": failures,
@@ -479,19 +452,19 @@ def verify_value_monotone_convex(vf, *, num_lines: int = 100,
     num_states = vf.vectors.shape[1]
     if num_states < 2:
         raise ValueError("shape checks need at least two states")
-    rng = np.random.default_rng(seed)
+    bases = np.random.default_rng(seed).dirichlet(np.ones(num_states - 1),
+                                                  size=num_lines)
     eps = np.linspace(0.0, 1.0, num_points)
-    worst_monotone = np.inf
-    worst_convex = np.inf
-    for _ in range(num_lines):
-        base = rng.dirichlet(np.ones(num_states - 1))
-        line = np.zeros((num_points, num_states))
-        line[:, :num_states - 1] = (1.0 - eps)[:, None] * base[None, :]
-        line[:, -1] = eps
-        values = vf.values_at(line)
-        worst_monotone = min(worst_monotone, float(np.diff(values).min()))
-        mid = 0.5 * (values[:-2] + values[2:]) - values[1:-1]
-        worst_convex = min(worst_convex, float(mid.min()))
+    lines = np.zeros((num_lines, num_points, num_states))
+    lines[:, :, :-1] = (1.0 - eps)[None, :, None] * bases[:, None, :]
+    lines[:, :, -1] = eps
+    # One envelope call per line keeps the score block at (num_points, N)
+    # instead of (num_lines * num_points, N), which is tens of MB on grid
+    # solves that carry thousands of vectors.
+    values = np.stack([vf.values_at(line) for line in lines])
+    worst_monotone = float(np.diff(values, axis=1).min())
+    worst_convex = float(
+        (0.5 * (values[:, :-2] + values[:, 2:]) - values[:, 1:-1]).min())
     return {
         "monotone_ok": worst_monotone >= -tol,
         "convex_ok": worst_convex >= -tol,
@@ -573,15 +546,11 @@ def compare_models(m_strong: PomdpModel, m_weak: PomdpModel, *,
     vf_strong = solve_for_verification(
         m_strong, method=method, resolution=resolution,
         residual=residual, horizon=horizon)
-    if identical:
-        gaps = np.zeros(beliefs.shape[0])
-        achieved = (_achieved_residual(vf_strong), _achieved_residual(vf_strong))
-    else:
-        vf_weak = solve_for_verification(
-            m_weak, method=method, resolution=resolution,
-            residual=residual, horizon=horizon)
-        gaps = vf_strong.values_at(beliefs) - vf_weak.values_at(beliefs)
-        achieved = (_achieved_residual(vf_strong), _achieved_residual(vf_weak))
+    vf_weak = vf_strong if identical else solve_for_verification(
+        m_weak, method=method, resolution=resolution,
+        residual=residual, horizon=horizon)
+    gaps = vf_strong.values_at(beliefs) - vf_weak.values_at(beliefs)
+    achieved = (_achieved_residual(vf_strong), _achieved_residual(vf_weak))
     worst = int(np.argmin(gaps))
     return {
         "hypotheses": hypotheses,

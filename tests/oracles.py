@@ -269,3 +269,74 @@ def point_backup_q(m: PomdpModel, vectors: np.ndarray,
                          for alpha in vectors)
         q[u] = total
     return q
+
+
+# ---------------------------------------------------------------------------
+# Posterior-tail sweeps, one belief at a time
+# ---------------------------------------------------------------------------
+
+def _tails_oracle(m: PomdpModel, probs: np.ndarray, u: int):
+    """Last coordinate and mass of each unnormalized posterior at one belief:
+    tail_y = z_y[-1], sigma_y = 1'z_y for z_y = B(u)[:, y] * (P' pi)."""
+    predicted = m.transition[u].T @ probs
+    z = m.observation[u] * predicted[:, None]    # (X, Y) columns are z_y
+    return z[-1, :].copy(), z.sum(axis=0)
+
+
+def psi_sweep_oracle(m: PomdpModel, beliefs: np.ndarray, num_lambda: int):
+    """Per belief and consecutive action pair: the minimum of psi over the
+    sorted union of the uniform lambda grid and the live breakpoints, and
+    psi at lambda = 0 and 1.  Returns three (N, U-1) arrays."""
+    num_pairs = m.num_actions - 1
+    base = np.linspace(0.0, 1.0, num_lambda)
+    minima = np.empty((beliefs.shape[0], num_pairs))
+    end_low = np.empty_like(minima)
+    end_high = np.empty_like(minima)
+    for b, probs in enumerate(beliefs):
+        tails_all, sigmas_all = zip(*(_tails_oracle(m, probs, u)
+                                      for u in range(m.num_actions)))
+        for p in range(num_pairs):
+            extra = []
+            for u in (p, p + 1):
+                live = sigmas_all[u] > 0.0
+                extra.append(tails_all[u][live] / sigmas_all[u][live])
+            lams = np.unique(np.concatenate([base, *extra]))
+
+            def piece(u):
+                clipped = np.maximum(
+                    tails_all[u][None, :] - lams[:, None] * sigmas_all[u][None, :],
+                    0.0)
+                return clipped.sum(axis=1)
+            values = piece(p + 1) - piece(p)
+            minima[b, p] = values.min()
+            end_low[b, p] = values[0]       # lam = 0 is always first
+            end_high[b, p] = values[lams.searchsorted(1.0)]
+    return minima, end_low, end_high
+
+
+def range_failures_oracle(m: PomdpModel, beliefs: np.ndarray, u_low: int,
+                          u_high: int, tol: float) -> list[dict]:
+    """Beliefs where the live normalized tails of u_high fail to span those
+    of u_low by more than tol, skipping beliefs where an action has no live
+    observation; same record layout as ``verify_range_containment``."""
+    failures = []
+    for probs in beliefs:
+        spans = {}
+        for u in (u_low, u_high):
+            tails, sigmas = _tails_oracle(m, probs, u)
+            live = sigmas > 0.0
+            if not live.any():
+                spans = None
+                break
+            normalized = tails[live] / sigmas[live]
+            spans[u] = (float(normalized.min()), float(normalized.max()))
+        if spans is None:
+            continue
+        low_span, high_span = spans[u_low], spans[u_high]
+        if high_span[0] > low_span[0] + tol or high_span[1] < low_span[1] - tol:
+            failures.append({
+                "belief": [float(x) for x in probs],
+                "low_range": list(low_span),
+                "high_range": list(high_span),
+            })
+    return failures

@@ -13,7 +13,8 @@ from pomdpcheck import (CapacityError, belief_grid, gen_example,
 from pomdpcheck import solver
 from pomdpcheck.cli import main
 from pomdpcheck.solver import (_POINT_BLOCK, ExactVF, _batch_margins,
-                               _grid_backup, _lowest_argmax, _streaming_top2)
+                               _grid_backup, _lowest_argmax, _residual_sweeps,
+                               _streaming_top2)
 
 from oracles import (envelope_on_grid, expectimax_value, game_margin_oracle,
                      point_backup_q, random_belief, random_model,
@@ -80,6 +81,15 @@ def test_capacity_error_raised():
 def test_exact_residual_mode_reaches_its_residual():
     vf = solve_exact(gen_example("ex1"), residual=1e-3, resolution=10)
     assert max(vf.residuals[-1], vf.grid_residuals[-1]) <= 1e-3
+    assert len(vf.residuals) == vf.horizon
+
+
+def test_exact_residual_warm_start_below_grid_floor():
+    """At resolution 6 the point-based change of ex1 floors near 1.6e-5,
+    above the 1e-5 target; the warm start still hands over its fixed sweep
+    count and the exact backups reach the target."""
+    vf = solve_exact(gen_example("ex1"), residual=1e-5, resolution=6)
+    assert max(vf.residuals[-1], vf.grid_residuals[-1]) <= 1e-5
     assert len(vf.residuals) == vf.horizon
 
 
@@ -270,6 +280,14 @@ def test_grid_horizon_runs_requested_sweeps():
     vf = solve_grid(m, resolution=15, horizon=7)
     assert vf.iterations == 7
     assert len(vf.residuals) == 7
+
+
+def test_grid_residual_runs_a_priori_sweeps():
+    m = gen_example("ex1")
+    vf = solve_grid(m, resolution=6, residual=1e-5)
+    assert vf.iterations == _residual_sweeps(m, 1e-5) == len(vf.residuals)
+    # the change reached is reported, not the target
+    assert vf.residual == vf.residuals[-1] > 1e-5
 
 
 def test_grid_refinement_stays_within_residual_budget():

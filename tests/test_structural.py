@@ -9,14 +9,14 @@ import pytest
 from pomdpcheck import (assumption_report, compare_models, gen_example,
                         make_model, psi, psi_sweep,
                         reward_shift_controlled, slack_budget, solve_exact,
-                        solve_for_verification, verification_report,
+                        solve_for_verification, solve_grid, verification_report,
                         verify_policy_dominance, verify_q_diff_monotone,
                         verify_range_containment,
                         verify_value_monotone_convex)
 from pomdpcheck.model import belief_grid
-from pomdpcheck.structural import _residual_sweeps
+from pomdpcheck.solver import _residual_sweeps
 
-from oracles import random_model
+from oracles import psi_sweep_oracle, random_model, range_failures_oracle
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,12 @@ def test_residual_sweep_count(ex1):
 def test_solve_for_verification_modes(ex1):
     vf = solve_for_verification(ex1, method="grid", resolution=10, horizon=5)
     assert vf.iterations == 5
+    vf = solve_for_verification(ex1, method="grid", resolution=10,
+                                residual=1e-4)
+    direct = solve_grid(ex1, resolution=10, residual=1e-4)
+    assert np.array_equal(vf.values, direct.values)
+    assert np.array_equal(vf.vectors, direct.vectors)
+    assert vf.iterations == direct.iterations == _residual_sweeps(ex1, 1e-4)
     vf = solve_for_verification(ex1, method="exact", resolution=10, horizon=2)
     assert vf.horizon == 2
     with pytest.raises(ValueError):
@@ -157,6 +163,42 @@ def test_psi_nonnegative_on_ex1(ex1):
     sweep = psi_sweep(ex1, beliefs)
     assert sweep["min"] >= -1e-9
     assert sweep["minima"].shape == (50, 1)
+
+
+def test_tail_sweeps_match_per_belief_oracles():
+    """The batched psi sweep and range check agree with per-belief loops on
+    random shared-transition models with 2-4 states: minima and endpoints
+    within 1e-15, verdicts and failure records exactly.  In the last model
+    the second action never emits its first observation (sigma = 0), whose
+    breakpoint must reach neither the psi minima nor the tail ranges."""
+    rng = np.random.default_rng(61)
+    models = [random_model(rng, x, y, u, shared=True)
+              for x, y, u in ((2, 2, 2), (3, 3, 3), (4, 2, 2), (4, 3, 3))]
+    m = random_model(rng, 3, 3, 3, shared=True)
+    obs = m.observation.copy()
+    obs[1][:, 0] = 0.0
+    obs[1] /= obs[1].sum(axis=1, keepdims=True)
+    models.append(make_model(name="dead_obs", discount=m.discount,
+                             transition=m.transition[0], observation=obs,
+                             reward=m.reward))
+    failing = passing = 0
+    for m in models:
+        beliefs = rng.dirichlet(np.ones(m.num_states), size=60)
+        sweep = psi_sweep(m, beliefs, num_lambda=41)
+        minima, end_low, end_high = psi_sweep_oracle(m, beliefs, 41)
+        assert np.abs(sweep["minima"] - minima).max() <= 1e-15
+        assert abs(sweep["max_abs_psi_at_0"] - np.abs(end_low).max()) <= 1e-15
+        assert abs(sweep["max_abs_psi_at_1"] - np.abs(end_high).max()) <= 1e-15
+        for u in range(m.num_actions - 1):
+            for lo, hi in ((u, u + 1), (u + 1, u)):
+                report = verify_range_containment(m, beliefs, lo, hi)
+                expected = range_failures_oracle(m, beliefs, lo, hi,
+                                                 report["tol"])
+                assert report["failures"] == expected
+                assert report["holds"] == (not expected)
+                failing += len(expected)
+                passing += beliefs.shape[0] - len(expected)
+    assert failing and passing
 
 
 def test_psi_requires_shared_transition():
