@@ -3,14 +3,14 @@ sensing policies respect the structure predicted by informativeness orders.
 
 The package splits into five layers:
 
-* :mod:`pomdpcheck.model` — model container, validation, belief updates,
-  the belief grid, reward shifts, JSON I/O.
+* :mod:`pomdpcheck.model` — model container, validation, the belief grid,
+  reward shifts, JSON I/O.
 * :mod:`pomdpcheck.lp` — dense phase-1 simplex for feasibility problems.
 * :mod:`pomdpcheck.orders` — MLR/FOSD/TP2 predicates, copositive dominance,
   Lehmann precision, boundary checks, Blackwell and reverse factorizations.
 * :mod:`pomdpcheck.solver` — exact alpha-vector value iteration with LP
-  pruning, point-based grid value iteration, Q-values and the myopic
-  action.
+  pruning, point-based grid value iteration, batched Q-values and the
+  alpha-vector monotonicity report.
 * :mod:`pomdpcheck.structural` — hypothesis reports and empirical
   verification of the monotone-policy, value-shape, and cross-model claims.
 
@@ -19,18 +19,16 @@ The package splits into five layers:
 """
 
 from .examples import gen_example, list_examples
-from .model import (Belief, ImpossibleObservationError, ModelFormatError,
-                    PomdpModel, as_belief, belief_grid, belief_update,
-                    load_model, loads_model, make_model, model_to_json,
-                    obs_likelihood, reward_shift_controlled,
-                    reward_shift_general, save_model, validate_model)
+from .model import (ModelFormatError, PomdpModel, belief_grid, load_model,
+                    loads_model, make_model, model_to_json,
+                    reward_shift_controlled, reward_shift_general, save_model,
+                    validate_model)
 from .orders import (OrderVerdict, blackwell_dominates, check_a5, check_a7,
                      copositive_dominates, fosd_dominates, gamma_matrices,
                      is_copositive, is_tp2, lehmann_precision, mlr_dominates,
                      reverse_factorization)
 from .solver import (CapacityError, ExactVF, GridVF, gamma_monotone_report,
-                     myopic_policy_at, prune, q_values, solve_exact,
-                     solve_grid, vf_to_dict)
+                     prune, solve_exact, solve_grid, vf_to_dict)
 from .structural import (AssumptionReport, assumption_report, compare_models,
                          psi, psi_sweep, slack_budget, solve_for_verification,
                          verification_report, verify_policy_dominance,
@@ -40,19 +38,17 @@ from .structural import (AssumptionReport, assumption_report, compare_models,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport", "Belief", "CapacityError", "ExactVF", "GridVF",
-    "ImpossibleObservationError", "ModelFormatError", "OrderVerdict",
-    "PomdpModel", "as_belief", "assumption_report", "belief_grid",
-    "belief_update", "blackwell_dominates", "check_a5", "check_a7",
+    "AssumptionReport", "CapacityError", "ExactVF", "GridVF",
+    "ModelFormatError", "OrderVerdict", "PomdpModel", "assumption_report",
+    "belief_grid", "blackwell_dominates", "check_a5", "check_a7",
     "compare_models", "copositive_dominates", "fosd_dominates",
     "gamma_matrices", "gamma_monotone_report", "gen_example", "is_copositive",
     "is_tp2", "lehmann_precision", "list_examples", "load_model",
-    "loads_model", "make_model", "mlr_dominates", "model_to_json",
-    "myopic_policy_at", "obs_likelihood", "prune", "psi", "psi_sweep",
-    "q_values", "reverse_factorization", "reward_shift_controlled",
+    "loads_model", "make_model", "mlr_dominates", "model_to_json", "prune",
+    "psi", "psi_sweep", "reverse_factorization", "reward_shift_controlled",
     "reward_shift_general", "save_model", "slack_budget", "solve_exact",
     "solve_for_verification", "solve_grid", "validate_model",
-    "verification_report", "verify_policy_dominance",
-    "verify_q_diff_monotone", "verify_range_containment",
-    "verify_value_monotone_convex", "vf_to_dict", "__version__",
+    "verification_report", "verify_policy_dominance", "verify_q_diff_monotone",
+    "verify_range_containment", "verify_value_monotone_convex", "vf_to_dict",
+    "__version__",
 ]

@@ -28,8 +28,9 @@ import sys
 from .examples import gen_example, list_examples
 from .model import ModelFormatError, belief_grid, load_model, model_to_json, \
     validate_model
-from .solver import (TIE_TOL, CapacityError, _lowest_argmax, _mode_or_error,
-                     _q_batch, gamma_monotone_report, vf_to_dict)
+from .solver import (GAMMA_TOL, TIE_TOL, CapacityError, _lowest_argmax,
+                     _mode_or_error, _q_batch, gamma_monotone_report,
+                     vf_to_dict)
 from .structural import (DEFAULT_RESIDUAL, SHAPE_TOL, RANGE_TOL,
                          assumption_report, compare_models,
                          solve_for_verification, verification_report)
@@ -38,12 +39,12 @@ KNOWN_TOLERANCES = {
     "tie": TIE_TOL,        # Q-value tie width for action selection
     "shape": SHAPE_TOL,    # monotone/convex line-check tolerance
     "range": RANGE_TOL,    # posterior-range containment tolerance
-    "gamma": 1e-10,        # alpha-vector coordinate monotonicity tolerance
+    "gamma": GAMMA_TOL,    # alpha-vector coordinate monotonicity tolerance
 }
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)

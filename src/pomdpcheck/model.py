@@ -1,4 +1,4 @@
-"""POMDP data types, validation, Bayesian belief propagation, and reward shifts.
+"""POMDP data types, validation, the belief grid, reward shifts and JSON I/O.
 
 Conventions used throughout the package:
 
@@ -22,9 +22,6 @@ import numpy as np
 from . import lp
 
 ROW_SUM_TOL = 1e-9
-BELIEF_SUM_TOL = 1e-12
-BELIEF_RENORM_TOL = 1e-9
-SIGMA_FLOOR = 1e-300
 SHIFT_RESIDUAL_TOL = 1e-8
 SHIFT_MARGIN = 1e-6
 
@@ -33,47 +30,28 @@ class ModelFormatError(ValueError):
     """Malformed model data: bad JSON, wrong shapes, inconsistent dimensions."""
 
 
-class ImpossibleObservationError(ValueError):
-    """Bayes update conditioned on an observation of (numerically) zero probability."""
-
-
 def _readonly(a, dtype=float):
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class Belief:
-    """Probability vector over states: nonnegative entries summing to one."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.probs, dtype=float))
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("belief must be a nonempty vector")
-        if not np.isfinite(p).all():
-            raise ValueError("belief entries must be finite")
-        if p.min() < -BELIEF_RENORM_TOL:
-            raise ValueError(f"belief entry {p.min()} is negative beyond tolerance")
-        total = p.sum()
-        if abs(total - 1.0) > BELIEF_RENORM_TOL:
-            raise ValueError(f"belief sums to {total}, too far from 1 to renormalize")
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum()
-        object.__setattr__(self, "probs", _readonly(p))
-
-    @property
-    def num_states(self) -> int:
-        return self.probs.size
-
-
-def as_belief(value) -> Belief:
-    """Coerce an array-like (or pass through a Belief) into a Belief."""
-    if isinstance(value, Belief):
-        return value
-    return Belief(np.asarray(value, dtype=float))
+def _belief_array(value, num_states: int) -> np.ndarray:
+    """Validate a belief over ``num_states`` states: finite entries, none
+    below -ROW_SUM_TOL, summing to 1 within ROW_SUM_TOL.  Returns it clipped
+    at zero and renormalized."""
+    p = np.asarray(value, dtype=float)
+    if p.shape != (num_states,):
+        raise ValueError(f"belief shape {p.shape} != {(num_states,)}")
+    if not np.isfinite(p).all():
+        raise ValueError("belief entries must be finite")
+    if p.min() < -ROW_SUM_TOL:
+        raise ValueError(f"belief entry {p.min()} is negative beyond tolerance")
+    total = p.sum()
+    if abs(total - 1.0) > ROW_SUM_TOL:
+        raise ValueError(f"belief sums to {total}, too far from 1 to renormalize")
+    p = np.clip(p, 0.0, None)
+    return p / p.sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,34 +178,6 @@ def capped_resolution(num_states: int, resolution: int, limit: int) -> int:
     while res > 1 and comb(res + num_states - 1, num_states - 1) > limit:
         res -= 1
     return res
-
-
-def _check_indices(m: PomdpModel, y: int, u: int):
-    if not (0 <= u < m.num_actions):
-        raise ValueError(f"action index {u} out of range [0, {m.num_actions})")
-    if not (0 <= y < m.num_obs):
-        raise ValueError(f"observation index {y} out of range [0, {m.num_obs})")
-
-
-def obs_likelihood(m: PomdpModel, pi, y: int, u: int) -> float:
-    """Probability of seeing observation y after taking action u in belief pi."""
-    _check_indices(m, y, u)
-    probs = as_belief(pi).probs
-    predicted = m.transition[u].T @ probs
-    return float(m.observation[u][:, y] @ predicted)
-
-
-def belief_update(m: PomdpModel, pi, y: int, u: int) -> Belief:
-    """Bayes posterior over states after action u produced observation y."""
-    _check_indices(m, y, u)
-    probs = as_belief(pi).probs
-    predicted = m.transition[u].T @ probs
-    unnormalized = m.observation[u][:, y] * predicted
-    sigma = unnormalized.sum()
-    if sigma <= SIGMA_FLOOR:
-        raise ImpossibleObservationError(
-            f"impossible observation: y={y} under action u={u} has probability {sigma:.3g}")
-    return Belief(unnormalized / sigma)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lp
 # belief_grid stays importable here: bench/selftest.py checks its aliases.
-from .model import Belief, belief_grid  # noqa: F401
+from .model import belief_grid  # noqa: F401
 
 PAIR_TOL = 1e-12
 COPOSITIVE_MARGIN = 1e-9
@@ -48,8 +48,6 @@ class OrderVerdict:
 
 
 def _vec(value, name="vector") -> np.ndarray:
-    if isinstance(value, Belief):
-        return value.probs
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")

@@ -19,11 +19,12 @@ from math import ceil, log
 
 import numpy as np
 
-from .model import (PomdpModel, _readonly, as_belief, belief_grid,
+from .model import (PomdpModel, _belief_array, _readonly, belief_grid,
                     capped_resolution)
 
 PRUNE_EPS = 1e-10
 TIE_TOL = 1e-10
+GAMMA_TOL = 1e-10
 CROSS_SUM_CAP = 100_000
 
 _RC_TOL = 1e-9
@@ -43,7 +44,7 @@ class CapacityError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class _Envelope:
     """Upper envelope of alpha vectors, each tagged with the action that
-    produced it."""
+    produced it.  Subclasses record per-iteration changes in ``residuals``."""
 
     vectors: np.ndarray          # (N, X)
     actions: np.ndarray          # (N,)
@@ -56,8 +57,14 @@ class _Envelope:
     def num_vectors(self) -> int:
         return self.vectors.shape[0]
 
+    @property
+    def residual(self) -> float | None:
+        """The last iteration's change, or None before the first iteration."""
+        return self.residuals[-1] if self.residuals else None
+
     def value(self, belief) -> float:
-        return float((self.vectors @ as_belief(belief).probs).max())
+        return float((self.vectors @ _belief_array(
+            belief, self.vectors.shape[1])).max())
 
     def values_at(self, points) -> np.ndarray:
         return (np.asarray(points, dtype=float) @ self.vectors.T).max(axis=1)
@@ -91,7 +98,6 @@ class GridVF(_Envelope):
     values: np.ndarray           # (P,)
     point_vector: np.ndarray     # (P,) row of `vectors` backing each point
     iterations: int
-    residual: float
     residuals: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -571,9 +577,7 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
         values = new_values
     return GridVF(beliefs=beliefs, values=values, vectors=vectors,
                   actions=actions, point_vector=point_vector,
-                  iterations=sweeps,
-                  residual=history[-1] if history else float("inf"),
-                  residuals=tuple(history))
+                  iterations=sweeps, residuals=tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -603,24 +607,7 @@ def _lowest_argmax(scores: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
     return np.argmax(scores >= best - tie_tol, axis=-1)
 
 
-def q_values(m: PomdpModel, vf, belief) -> np.ndarray:
-    """Per-action Q-values, shape (U,), at one belief under the given value
-    function."""
-    b = as_belief(belief)
-    if b.num_states != m.num_states:
-        raise ValueError("belief dimension does not match the model")
-    return _q_batch(m, vf.vectors, b.probs[None, :])[0]
-
-
-def myopic_policy_at(m: PomdpModel, belief, tie_tol: float = TIE_TOL) -> int:
-    """Lowest-index action maximizing the immediate reward r_u' pi."""
-    b = as_belief(belief)
-    if b.num_states != m.num_states:
-        raise ValueError("belief dimension does not match the model")
-    return int(_lowest_argmax(m.reward @ b.probs, tie_tol))
-
-
-def gamma_monotone_report(vf: ExactVF, tol: float = 1e-10) -> dict:
+def gamma_monotone_report(vf: ExactVF, tol: float = GAMMA_TOL) -> dict:
     """Entry-monotonicity report over all alpha vectors.
 
     Checks gamma(first) <= gamma(middle) <= gamma(last) per vector, plus full
@@ -664,7 +651,7 @@ def vf_to_dict(vf, *, action_base: int = 1) -> dict:
     return {
         "kind": "grid",
         "iterations": vf.iterations,
-        "residual": float(vf.residual) if np.isfinite(vf.residual) else None,
+        "residual": vf.residual,
         "residuals": list(vf.residuals),
         "vectors": vectors,
         "points": [

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PomdpModel, ShiftFeasibility, as_belief, belief_grid,
+from .model import (PomdpModel, ShiftFeasibility, _belief_array, belief_grid,
                     reward_shift_general)
 from .orders import (PAIR_TOL, OrderVerdict, blackwell_dominates, check_a5,
                      check_a7, copositive_dominates, is_tp2, lehmann_precision,
@@ -209,22 +209,14 @@ def solve_for_verification(m: PomdpModel, *, method: str = "grid",
     ``method`` picks :func:`solve_grid` or :func:`solve_exact`, called with
     the given resolution and stop rule.  A grid residual target runs the
     a-priori sweep count of ``solver._residual_sweeps``; the returned value
-    function records the change actually reached, so reports can state the
-    achieved residual next to the requested one.
+    function's ``residual`` is the change actually reached, so reports can
+    state the achieved residual next to the requested one.
     """
     solvers = {"grid": solve_grid, "exact": solve_exact}
     if method not in solvers:
         raise ValueError(f"unknown solver method: {method!r}")
     return solvers[method](m, resolution=resolution, horizon=horizon,
                            residual=residual)
-
-
-def _achieved_residual(vf) -> float | None:
-    res = getattr(vf, "residual", None)
-    if res is not None:
-        return float(res)
-    residuals = getattr(vf, "residuals", ())
-    return float(residuals[-1]) if residuals else None
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +324,12 @@ def _posterior_tails(m: PomdpModel, beliefs: np.ndarray):
     return tails, sigmas, normalized
 
 
+def _check_action_pair(m: PomdpModel, u_low: int, u_high: int) -> None:
+    for u in (u_low, u_high):
+        if not 0 <= u < m.num_actions:
+            raise ValueError(f"action index {u} out of range")
+
+
 def psi(m: PomdpModel, pi, u_low: int, u_high: int, lam: float) -> float:
     """Convex-dominance gap of posterior tails between two actions.
 
@@ -346,10 +344,9 @@ def psi(m: PomdpModel, pi, u_low: int, u_high: int, lam: float) -> float:
     """
     if not m.shared_transition:
         raise ValueError("psi requires a shared transition matrix")
-    for u in (u_low, u_high):
-        if not 0 <= u < m.num_actions:
-            raise ValueError(f"action index {u} out of range")
-    tails, sigmas, _ = _posterior_tails(m, as_belief(pi).probs[None, :])
+    _check_action_pair(m, u_low, u_high)
+    tails, sigmas, _ = _posterior_tails(
+        m, _belief_array(pi, m.num_states)[None, :])
     total = 0.0
     for u, sign in ((u_high, 1.0), (u_low, -1.0)):
         total += sign * float(np.maximum(tails[0, u] - lam * sigmas[0, u],
@@ -409,8 +406,10 @@ def verify_range_containment(m: PomdpModel, beliefs, u_low: int, u_high: int,
     Only observations with positive probability contribute, and a belief
     where either action has none is skipped.  Records each belief where
     min(high tails) > min(low tails) + tol or
-    max(high tails) < max(low tails) - tol.
+    max(high tails) < max(low tails) - tol.  Action indices out of range
+    raise ValueError.
     """
+    _check_action_pair(m, u_low, u_high)
     pts = np.atleast_2d(np.asarray(beliefs, dtype=float))
     _, sigmas, normalized = _posterior_tails(m, pts)
     pair = [u_low, u_high]
@@ -550,7 +549,6 @@ def compare_models(m_strong: PomdpModel, m_weak: PomdpModel, *,
         m_weak, method=method, resolution=resolution,
         residual=residual, horizon=horizon)
     gaps = vf_strong.values_at(beliefs) - vf_weak.values_at(beliefs)
-    achieved = (_achieved_residual(vf_strong), _achieved_residual(vf_weak))
     worst = int(np.argmin(gaps))
     return {
         "hypotheses": hypotheses,
@@ -565,7 +563,7 @@ def compare_models(m_strong: PomdpModel, m_weak: PomdpModel, *,
         "mean_gap": float(gaps.mean()),
         "argmin_belief": [float(x) for x in beliefs[worst]],
         "gap_ok": bool(gaps[worst] >= -slack),
-        "achieved_residuals": list(achieved),
+        "achieved_residuals": [vf_strong.residual, vf_weak.residual],
     }
 
 
@@ -628,7 +626,7 @@ def verification_report(m: PomdpModel, *,
         "grid_resolution": int(resolution),
         "requested_residual": None if residual is None else float(residual),
         "requested_horizon": None if horizon is None else int(horizon),
-        "achieved_residual": _achieved_residual(vf),
+        "achieved_residual": vf.residual,
         "slack": float(slack),
         "assumptions": assumptions.to_dict(),
         "theorem1": {

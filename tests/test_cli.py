@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pomdpcheck import gamma_matrices, gen_example, make_model, save_model
-from pomdpcheck.cli import main
+from pomdpcheck.cli import _emit, main
 
 from oracles import copositive_kaplan_oracle
 
@@ -189,6 +189,29 @@ def test_compare_hierarchical_pair(tmp_path, capsys):
                                   "--grid", "10", "--horizon", "10"])
     assert code == 0
     assert doc["min_gap"] == 0.0 and doc["mean_gap"] == 0.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_horizon_zero_reports_are_strict_json(capsys, ex1_path):
+    code = main(["verify", ex1_path, "--grid", "5", "--horizon", "0"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 0
+    assert doc["achieved_residual"] is None
+    code = main(["compare", ex1_path, ex1_path, "--grid", "5",
+                 "--horizon", "0"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 0
+    assert doc["achieved_residuals"] == [None, None]
+
+
+def test_non_finite_report_value_is_refused(tmp_path):
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        _emit({"value": float("inf")}, str(out))
+    assert not out.exists()
 
 
 def test_compare_dimension_mismatch_exits_two(tmp_path, ex1_path):

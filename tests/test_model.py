@@ -1,4 +1,4 @@
-"""Model container, validation, Bayes updates, reward shifts, and JSON
+"""Model container, validation, belief checks, reward shifts, and JSON
 round-trips."""
 
 import json
@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pomdpcheck import (Belief, ImpossibleObservationError, ModelFormatError,
-                        as_belief, belief_grid, belief_update, gen_example,
+from pomdpcheck import (ModelFormatError, belief_grid, gen_example,
                         load_model, loads_model, make_model, model_to_json,
-                        obs_likelihood,
                         reward_shift_controlled, reward_shift_general,
                         save_model, validate_model)
+from pomdpcheck.model import _belief_array
+from pomdpcheck.structural import _posterior_tails
 
 from oracles import compositions_oracle, random_model
 
@@ -68,14 +68,16 @@ def test_bundled_examples_validate_clean():
 
 
 def test_belief_validation():
-    b = as_belief([0.2, 0.3, 0.5])
-    assert b.probs.sum() == pytest.approx(1.0)
+    b = _belief_array([0.2, 0.3, 0.5], 3)
+    assert b.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        Belief(np.array([0.5, 0.6]))         # sums to 1.1
+        _belief_array(np.array([0.5, 0.6]), 2)       # sums to 1.1
     with pytest.raises(ValueError):
-        Belief(np.array([-0.2, 1.2]))        # negative entry
+        _belief_array(np.array([-0.2, 1.2]), 2)      # negative entry
     with pytest.raises(ValueError):
-        Belief(np.array([np.nan, 1.0]))
+        _belief_array(np.array([np.nan, 1.0]), 2)
+    with pytest.raises(ValueError):
+        _belief_array([0.2, 0.3, 0.5], 2)            # wrong length
 
 
 def test_belief_grid_size_and_cache():
@@ -98,54 +100,17 @@ def test_belief_grid_rows_match_composition_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Bayes updates
+# Observation likelihoods
 # ---------------------------------------------------------------------------
-
-def test_belief_update_hand_example():
-    m = gen_example("ex1")
-    # from the last vertex, action 1 (index 0): predicted = P' e_3 = [0, .2, .8],
-    # observation 0 likelihood = .2*.1 + .8*0 = .02, posterior = [0, 1, 0]
-    post = belief_update(m, [0.0, 0.0, 1.0], y=0, u=0)
-    assert post.probs == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
-    assert obs_likelihood(m, [0.0, 0.0, 1.0], y=0, u=0) == pytest.approx(0.02)
-
-
-def test_belief_update_impossible_observation():
-    m = make_model(name="t", discount=0.5,
-                   transition=np.eye(2),
-                   observation=[np.eye(2), np.eye(2)],
-                   reward=[[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ImpossibleObservationError):
-        belief_update(m, [1.0, 0.0], y=1, u=0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(simplex_points(3), st.integers(0, 2), st.integers(0, 1),
-       st.integers(0, 41))
-def test_belief_update_is_a_distribution(pi, y, u, seed):
-    m = random_model(np.random.default_rng(seed), 3, 3, 2)
-    try:
-        post = belief_update(m, pi, y=y, u=u)
-    except ImpossibleObservationError:
-        return
-    assert post.probs.min() >= 0.0
-    assert post.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
 
 @settings(max_examples=100, deadline=None)
 @given(simplex_points(3), st.integers(0, 1), st.integers(0, 41))
 def test_observation_likelihoods_sum_to_one(pi, u, seed):
     m = random_model(np.random.default_rng(seed), 3, 3, 2)
-    total = sum(obs_likelihood(m, pi, y=y, u=u) for y in range(m.num_obs))
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_index_range_errors():
-    m = gen_example("ex1")
-    with pytest.raises(ValueError):
-        belief_update(m, [1.0, 0.0, 0.0], y=3, u=0)
-    with pytest.raises(ValueError):
-        belief_update(m, [1.0, 0.0, 0.0], y=0, u=2)
+    tails, sigmas, _ = _posterior_tails(m, pi[None, :])
+    assert sigmas[0, u].sum() == pytest.approx(1.0, abs=1e-12)
+    assert (tails[0, u] >= 0.0).all()
+    assert (tails[0, u] <= sigmas[0, u]).all()
 
 
 # ---------------------------------------------------------------------------

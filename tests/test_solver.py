@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from pomdpcheck import (CapacityError, belief_grid, gen_example,
-                        gamma_monotone_report, make_model, myopic_policy_at,
-                        prune, q_values, save_model, solve_exact, solve_grid,
-                        vf_to_dict)
+                        gamma_monotone_report, make_model, prune, save_model,
+                        solve_exact, solve_grid, vf_to_dict)
 from pomdpcheck import solver
 from pomdpcheck.cli import main
 from pomdpcheck.solver import (_POINT_BLOCK, ExactVF, _batch_margins,
-                               _grid_backup, _lowest_argmax, _residual_sweeps,
-                               _streaming_top2)
+                               _grid_backup, _lowest_argmax, _q_batch,
+                               _residual_sweeps, _streaming_top2)
 
 from oracles import (envelope_on_grid, expectimax_value, game_margin_oracle,
                      point_backup_q, random_belief, random_model,
@@ -308,9 +307,9 @@ def test_q_values_zero_function_reduces_to_rewards():
     m = random_model(rng, 3, 3, 3)
     for _ in range(10):
         pi = random_belief(rng, 3)
-        q = q_values(m, zero_vf(3), pi)
+        q = _q_batch(m, zero_vf(3).vectors, pi[None, :])[0]
         assert q == pytest.approx(m.reward @ pi, abs=1e-12)
-        assert _lowest_argmax(q) == myopic_policy_at(m, pi)
+        assert _lowest_argmax(q) == _lowest_argmax(m.reward @ pi)
 
 
 def test_q_values_match_depth_two_expectimax():
@@ -320,7 +319,7 @@ def test_q_values_match_depth_two_expectimax():
         vf = solve_exact(m, horizon=1)
         for _ in range(10):
             pi = random_belief(rng, 2)
-            q = q_values(m, vf, pi)
+            q = _q_batch(m, vf.vectors, pi[None, :])[0]
             assert q.max() == pytest.approx(
                 expectimax_value(m, pi, 2), abs=1e-10)
 
@@ -330,8 +329,9 @@ def test_policy_tie_breaks_to_lowest_action(tmp_path):
                    transition=np.eye(2),
                    observation=[np.eye(2)] * 3,
                    reward=[[1.0, 1.0]] * 3)
-    assert myopic_policy_at(m, [0.5, 0.5]) == 0
-    assert _lowest_argmax(q_values(m, zero_vf(2), [0.5, 0.5])) == 0
+    pi = np.array([0.5, 0.5])
+    assert _lowest_argmax(m.reward @ pi) == 0
+    assert _lowest_argmax(_q_batch(m, zero_vf(2).vectors, pi[None, :])[0]) == 0
     path, table = tmp_path / "ties.json", tmp_path / "policy.csv"
     save_model(m, path)
     assert main(["solve", str(path), "--horizon", "1", "--csv", str(table),
@@ -344,8 +344,8 @@ def test_policy_tie_breaks_to_lowest_action(tmp_path):
 
 def test_myopic_crossing_on_ex1():
     m = gen_example("ex1")
-    assert myopic_policy_at(m, [1.0, 0.0, 0.0]) == 0   # r1 wins low
-    assert myopic_policy_at(m, [0.0, 0.0, 1.0]) == 1   # r2 wins high
+    assert _lowest_argmax(m.reward @ [1.0, 0.0, 0.0]) == 0   # r1 wins low
+    assert _lowest_argmax(m.reward @ [0.0, 0.0, 1.0]) == 1   # r2 wins high
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,14 @@ def test_psi_action_index_validation(ex1):
 # Range containment and shape
 # ---------------------------------------------------------------------------
 
+# Unchecked, -1 would index the last action and 5 would raise IndexError.
+@pytest.mark.parametrize("u_low, u_high", [(-1, 0), (0, 5)])
+def test_range_containment_rejects_action_index_out_of_range(ex1, u_low,
+                                                             u_high):
+    with pytest.raises(ValueError, match="out of range"):
+        verify_range_containment(ex1, [[0.3, 0.3, 0.4]], u_low, u_high)
+
+
 def test_range_containment_on_fixtures():
     rng = np.random.default_rng(3)
     beliefs = rng.dirichlet(np.ones(3), size=40)
