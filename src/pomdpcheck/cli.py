@@ -28,19 +28,10 @@ import sys
 from .examples import gen_example, list_examples
 from .model import ModelFormatError, belief_grid, load_model, model_to_json, \
     validate_model
-from .solver import (GAMMA_TOL, TIE_TOL, CapacityError, _lowest_argmax,
-                     _mode_or_error, _q_batch, gamma_monotone_report,
-                     vf_to_dict)
-from .structural import (DEFAULT_RESIDUAL, SHAPE_TOL, RANGE_TOL,
-                         assumption_report, compare_models,
+from .solver import (CapacityError, _lowest_argmax, _mode_or_error, _q_batch,
+                     gamma_monotone_report, vf_to_dict)
+from .structural import (DEFAULT_RESIDUAL, assumption_report, compare_models,
                          solve_for_verification, verification_report)
-
-KNOWN_TOLERANCES = {
-    "tie": TIE_TOL,        # Q-value tie width for action selection
-    "shape": SHAPE_TOL,    # monotone/convex line-check tolerance
-    "range": RANGE_TOL,    # posterior-range containment tolerance
-    "gamma": GAMMA_TOL,    # alpha-vector coordinate monotonicity tolerance
-}
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -52,12 +43,12 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_policy_csv(path: str, m, vf, resolution: int, tie_tol: float) -> None:
+def _write_policy_csv(path: str, m, vf, resolution: int) -> None:
     beliefs = belief_grid(m.num_states, resolution)
     q = _q_batch(m, vf.vectors, beliefs)
     values = q.max(axis=1)
-    best = _lowest_argmax(q, tie_tol)
-    myopic = _lowest_argmax(beliefs @ m.reward.T, tie_tol)
+    best = _lowest_argmax(q)
+    myopic = _lowest_argmax(beliefs @ m.reward.T)
     header = ([f"belief_{i + 1}" for i in range(m.num_states)]
               + ["value", "optimal_action", "myopic_action"]
               + [f"q_{u + 1}" for u in range(m.num_actions)])
@@ -99,10 +90,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     doc = vf_to_dict(vf)
     doc["model"] = m.name
     doc["method"] = method
-    doc["gamma_monotone"] = gamma_monotone_report(vf, tol=args.tol["gamma"])
+    doc["gamma_monotone"] = gamma_monotone_report(vf)
     _emit(doc, args.out)
     if args.csv:
-        _write_policy_csv(args.csv, m, vf, args.grid, args.tol["tie"])
+        _write_policy_csv(args.csv, m, vf, args.grid)
     return 0
 
 
@@ -110,8 +101,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     m = load_model(args.model)
     report = verification_report(
         m, resolution=args.grid, residual=args.residual, horizon=args.horizon,
-        method=args.method or "grid", tie_tol=args.tol["tie"],
-        shape_tol=args.tol["shape"], range_tol=args.tol["range"])
+        method=args.method or "grid")
     _emit(report, args.out)
     theorem1 = report["theorem1"]
     if theorem1["applicable"] and theorem1["dominance"]["violations"]:
@@ -175,29 +165,13 @@ def _parse_param(token: str):
     return name.strip(), raw
 
 
-def _parse_tol(tokens: list[str]) -> dict[str, float]:
-    out = dict(KNOWN_TOLERANCES)
-    for token in tokens:
-        if "=" not in token:
-            raise ValueError(f"--tol expects name=value, got {token!r}")
-        name, raw = (part.strip() for part in token.split("=", 1))
-        if name not in KNOWN_TOLERANCES:
-            raise ValueError(
-                f"unknown tolerance name {name!r}; "
-                f"known: {', '.join(sorted(KNOWN_TOLERANCES))}")
-        out[name] = float(raw)
-    return out
-
-
 def _check_solver_args(args: argparse.Namespace) -> None:
-    """Apply the default stop rule, reject bad solver flags, and replace the
-    ``--tol`` overrides with the full tolerance table."""
+    """Apply the default stop rule and reject bad solver flags."""
     if args.grid < 1:
         raise ValueError("--grid must be at least 1")
     if args.horizon is None and args.residual is None:
         args.residual = DEFAULT_RESIDUAL
     _mode_or_error(args.horizon, args.residual)
-    args.tol = _parse_tol(args.tol)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -212,9 +186,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="solver backend (solve defaults to exact; "
                         "verify/compare default to grid)")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here")
-    p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                   help="override a named tolerance "
-                        f"({', '.join(sorted(KNOWN_TOLERANCES))})")
 
 
 def build_parser() -> argparse.ArgumentParser:

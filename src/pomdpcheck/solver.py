@@ -6,6 +6,11 @@ and incremental pruning.  The grid solver keeps one backed-up vector per
 barycentric grid point; it is both a standalone lower-bound solver and the
 warm start for the exact solver's residual mode.
 
+Every envelope evaluation (grid backup, Q-values, values at points, the
+pruner's top-two test) scores beliefs against all vectors in blocks of 128
+through :func:`_score_blocks`, so no beliefs x vectors matrix is built, and
+the Q that verification measures is bit for bit the grid backup's.
+
 Pruning relies on a batched game-value LP: the margin of a candidate vector
 against a reference set is the value of a matrix game whose rows are states
 and whose columns are reference vectors, solved in shifted dual form so no
@@ -30,7 +35,7 @@ CROSS_SUM_CAP = 100_000
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _NO_ROW = np.iinfo(np.int64).max  # tie-break filler: never the smallest basis index
-_POINT_BLOCK = 128  # score rows per grid-backup block, cache-sized
+_POINT_BLOCK = 128  # beliefs per score block, cache-sized
 # Tableau bytes per margin-LP batch.  Each simplex sweep makes a few
 # temporaries of the tableau's size; kept cache-sized they reuse freed memory
 # instead of being mapped and faulted in afresh on every sweep.
@@ -39,6 +44,36 @@ _LP_BATCH_BYTES = 2_000_000
 
 class CapacityError(RuntimeError):
     """Raised when an exact cross-sum would exceed the vector-count cap."""
+
+
+# ---------------------------------------------------------------------------
+# Blocked envelope scoring
+# ---------------------------------------------------------------------------
+
+def _score_blocks(points: np.ndarray, rows: np.ndarray):
+    """Yield (start, points[start:start + b] @ rows.T) for blocks of at most
+    _POINT_BLOCK points, each written over the last in one buffer allocated
+    per call: fresh blocks past the mmap threshold are mapped and faulted
+    in anew, which can cost as much as the products."""
+    num_points, num_rows = points.shape[0], rows.shape[0]
+    work = np.empty(min(_POINT_BLOCK, num_points) * num_rows)
+    for start in range(0, num_points, _POINT_BLOCK):
+        stop = min(start + _POINT_BLOCK, num_points)
+        scores = work[:(stop - start) * num_rows].reshape(stop - start, num_rows)
+        np.matmul(points[start:stop], rows.T, out=scores)
+        yield start, scores
+
+
+def _best_rows(points: np.ndarray, rows: np.ndarray):
+    """Per point: the index of the best-scoring row (lowest among ties) and
+    its score."""
+    best_idx = np.empty(points.shape[0], dtype=np.int64)
+    best_val = np.empty(points.shape[0])
+    for start, scores in _score_blocks(points, rows):
+        idx = np.argmax(scores, axis=1)
+        best_idx[start:start + idx.size] = idx
+        best_val[start:start + idx.size] = scores[np.arange(idx.size), idx]
+    return best_idx, best_val
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +98,12 @@ class _Envelope:
         return self.residuals[-1] if self.residuals else None
 
     def value(self, belief) -> float:
-        return float((self.vectors @ _belief_array(
-            belief, self.vectors.shape[1])).max())
+        return float(self.values_at(
+            _belief_array(belief, self.vectors.shape[1])[None, :])[0])
 
     def values_at(self, points) -> np.ndarray:
-        return (np.asarray(points, dtype=float) @ self.vectors.T).max(axis=1)
+        return _best_rows(np.atleast_2d(np.asarray(points, dtype=float)),
+                          self.vectors)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,28 +245,22 @@ def _batch_margins(cands, refs):
 # Pruning
 # ---------------------------------------------------------------------------
 
-def _streaming_top2(rows: np.ndarray, points: np.ndarray, block: int = 8192):
+def _streaming_top2(rows: np.ndarray, points: np.ndarray):
     """Per evaluation point: index and value of the best row and the value of
-    the runner-up, computed in row blocks so memory stays bounded.  Each
-    block's values are laid out (P, b), points by rows; the runner-up is the
-    row maximum once the top entry is overwritten with -inf.  Among tied
-    tops the index is arbitrary, and then runner-up equals top."""
-    num_points = points.shape[0]
-    top_val = np.full(num_points, -np.inf)
-    second = np.full(num_points, -np.inf)
-    top_idx = np.zeros(num_points, dtype=np.int64)
-    points_idx = np.arange(num_points)
-    for start in range(0, rows.shape[0], block):
-        vals = points @ rows[start:start + block].T          # (P, b)
-        blk_idx = np.argmax(vals, axis=1)
-        blk_top = vals[points_idx, blk_idx]
-        vals[points_idx, blk_idx] = -np.inf
-        blk_sec = vals.max(axis=1)
-        better = blk_top > top_val
-        second = np.where(better, np.maximum(top_val, blk_sec),
-                          np.maximum(second, blk_top))
-        top_idx = np.where(better, blk_idx + start, top_idx)
-        top_val = np.where(better, blk_top, top_val)
+    the runner-up, scored in point blocks so memory stays bounded.  The
+    runner-up is the block's row maximum once the top entry is overwritten
+    with -inf.  Among tied tops the index is the lowest, and then runner-up
+    equals top."""
+    top_idx = np.empty(points.shape[0], dtype=np.int64)
+    top_val = np.empty(points.shape[0])
+    second = np.empty(points.shape[0])
+    for start, scores in _score_blocks(points, rows):
+        lanes = np.arange(scores.shape[0])
+        idx = np.argmax(scores, axis=1)
+        top_idx[start:start + idx.size] = idx
+        top_val[start:start + idx.size] = scores[lanes, idx]
+        scores[lanes, idx] = -np.inf
+        second[start:start + idx.size] = scores.max(axis=1)
     return top_idx, top_val, second
 
 
@@ -383,12 +413,12 @@ def _backup_arrays(m: PomdpModel, vectors: np.ndarray, *, cap: int, eps: float):
     reward starts the cross-sum.  Returns the pruned union over actions.
     """
     num_states = m.num_states
+    projections = _projections(m, vectors)
     per_action: list[np.ndarray] = []
     for u in range(m.num_actions):
         current = m.reward[u][None, :]
         for y in range(m.num_obs):
-            proj = m.discount * (
-                (vectors * m.observation[u][:, y][None, :]) @ m.transition[u].T)
+            proj = projections[u, y]
             proj = proj[_prune_arrays(proj, eps)]
             size = current.shape[0] * proj.shape[0]
             if size > cap:
@@ -486,44 +516,48 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
 # Grid value iteration
 # ---------------------------------------------------------------------------
 
+def _projections(m: PomdpModel, vectors: np.ndarray) -> np.ndarray:
+    """Back-projections rho * P_u (B_u[:, y] * alpha) of every vector
+    through every (action, observation), stacked (U, Y, N, X)."""
+    out = np.empty((m.num_actions, m.num_obs) + vectors.shape)
+    for u in range(m.num_actions):
+        for y in range(m.num_obs):
+            np.matmul(vectors * m.observation[u][:, y][None, :],
+                      m.transition[u].T, out=out[u, y])
+    out *= m.discount
+    return out
+
+
+def _point_q(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray):
+    """Q(pi, u) at every belief row: the immediate reward plus, per
+    observation in order, the best back-projection's score (exactly zero
+    for a zero-probability observation).  Returns (q, best_idx,
+    projections), best_idx[p, u, y] being the best row of projections[u, y]."""
+    projections = _projections(m, vectors)
+    q = beliefs @ m.reward.T                                 # (P, U)
+    best_idx = np.empty((beliefs.shape[0], m.num_actions, m.num_obs),
+                        dtype=np.int64)
+    for u in range(m.num_actions):
+        for y in range(m.num_obs):
+            best_idx[:, u, y], best_val = _best_rows(beliefs, projections[u, y])
+            q[:, u] += best_val
+    return q, best_idx, projections
+
+
 def _grid_backup(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray):
     """One point-based backup: per grid point, the exact Bellman backup of
-    the current envelope, keeping the maximizing action's alpha vector.
-
-    Every (b, M) score block is written into one flat buffer allocated per
-    call, viewed contiguously as (b, M).  Allocating each block afresh makes
-    the allocator map and fault in new pages per block once a block
-    outgrows its mmap threshold, which can cost as much as the products.
-    """
+    the current envelope, keeping the maximizing action's alpha vector."""
+    q_all, best_idx, projections = _point_q(m, vectors, beliefs)
     num_points = beliefs.shape[0]
-    num_obs, num_actions = m.num_obs, m.num_actions
-    num_vectors = vectors.shape[0]
-    work = np.empty(min(_POINT_BLOCK, num_points) * num_vectors)
-    q_all = beliefs @ m.reward.T                             # (P, U)
-    best_idx = np.empty((num_points, num_actions, num_obs), dtype=np.int64)
-    projections: dict[tuple[int, int], np.ndarray] = {}
-    for u in range(num_actions):
-        for y in range(num_obs):
-            proj = m.discount * (
-                (vectors * m.observation[u][:, y][None, :]) @ m.transition[u].T)
-            projections[u, y] = proj
-            for start in range(0, num_points, _POINT_BLOCK):
-                stop = min(start + _POINT_BLOCK, num_points)
-                scores = work[:(stop - start) * num_vectors].reshape(
-                    stop - start, num_vectors)                # (b, M)
-                np.matmul(beliefs[start:stop], proj.T, out=scores)
-                idx = np.argmax(scores, axis=1)
-                best_idx[start:stop, u, y] = idx
-                q_all[start:stop, u] += scores[np.arange(idx.size), idx]
     acts = np.argmax(q_all, axis=1)
     values = q_all[np.arange(num_points), acts]
     alphas = np.empty((num_points, m.num_states))
-    for u in range(num_actions):
+    for u in range(m.num_actions):
         sel = np.flatnonzero(acts == u)
         if sel.size == 0:
             continue
         alpha_u = np.tile(m.reward[u], (sel.size, 1))
-        for y in range(num_obs):
+        for y in range(m.num_obs):
             alpha_u += projections[u, y][best_idx[sel, u, y]]
         alphas[sel] = alpha_u
     return values, alphas, acts
@@ -535,7 +569,11 @@ def _residual_sweeps(m: PomdpModel, residual: float) -> int:
     After k backups from the zero function the distance to the fixed point
     is at most rho^k * Rmax / (1 - rho); the smallest k with
     rho^k * Rmax <= residual is ceil(log(residual / Rmax) / log rho).
+    Outside 0 <= rho < 1 the bound is void and no residual is ever reached.
     """
+    if not 0.0 <= m.discount < 1.0:
+        raise ValueError(f"a residual target needs a discount in [0, 1), "
+                         f"got {m.discount}")
     rmax = float(np.abs(m.reward).max())
     if m.discount <= 0.0 or rmax <= 0.0 or residual >= rmax:
         return 1
@@ -585,19 +623,10 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
 # ---------------------------------------------------------------------------
 
 def _q_batch(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
-    """Q(pi, u) for every belief row: immediate reward plus the discounted
-    envelope value of each unnormalized posterior (zero-probability
-    observations contribute exactly zero, so no case split is needed)."""
+    """Q(pi, u) for every belief row, computed exactly as the grid backup
+    computes it (see :func:`_point_q`)."""
     beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
-    q = np.empty((beliefs.shape[0], m.num_actions))
-    for u in range(m.num_actions):
-        predicted = beliefs @ m.transition[u]                # (N, X)
-        total = beliefs @ m.reward[u]
-        for y in range(m.num_obs):
-            posterior = predicted * m.observation[u][:, y]   # unnormalized
-            total = total + m.discount * (posterior @ vectors.T).max(axis=1)
-        q[:, u] = total
-    return q
+    return _point_q(m, vectors, beliefs)[0]
 
 
 def _lowest_argmax(scores: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:

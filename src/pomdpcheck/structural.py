@@ -457,10 +457,8 @@ def verify_value_monotone_convex(vf, *, num_lines: int = 100,
     lines = np.zeros((num_lines, num_points, num_states))
     lines[:, :, :-1] = (1.0 - eps)[None, :, None] * bases[:, None, :]
     lines[:, :, -1] = eps
-    # One envelope call per line keeps the score block at (num_points, N)
-    # instead of (num_lines * num_points, N), which is tens of MB on grid
-    # solves that carry thousands of vectors.
-    values = np.stack([vf.values_at(line) for line in lines])
+    values = vf.values_at(lines.reshape(-1, num_states)).reshape(
+        num_lines, num_points)
     worst_monotone = float(np.diff(values, axis=1).min())
     worst_convex = float(
         (0.5 * (values[:, :-2] + values[:, 2:]) - values[:, 1:-1]).min())
@@ -577,10 +575,7 @@ def verification_report(m: PomdpModel, *,
                         horizon: int | None = None,
                         method: str = "grid",
                         num_psi_beliefs: int = 200,
-                        seed: int = 0,
-                        tie_tol: float = TIE_TOL,
-                        shape_tol: float = SHAPE_TOL,
-                        range_tol: float = RANGE_TOL) -> dict:
+                        seed: int = 0) -> dict:
     """Solve the model and measure every structural prediction against it.
 
     Returns one JSON-ready document with sections ``assumptions`` (the full
@@ -601,7 +596,7 @@ def verification_report(m: PomdpModel, *,
     vf = solve_for_verification(m, method=method, resolution=resolution,
                                 residual=residual, horizon=horizon)
     dominance = verify_policy_dominance(m, vf, resolution=resolution,
-                                        slack=slack, tie_tol=tie_tol)
+                                        slack=slack)
     q_diff = verify_q_diff_monotone(m, vf, resolution=resolution)
 
     rng = np.random.default_rng(seed)
@@ -617,9 +612,9 @@ def verification_report(m: PomdpModel, *,
             "num_lambda": sweep["num_lambda"],
             "num_beliefs": sweep["num_beliefs"],
         }
-    theorem5 = [verify_range_containment(m, sampled, u, u + 1, tol=range_tol)
+    theorem5 = [verify_range_containment(m, sampled, u, u + 1)
                 for u in range(m.num_actions - 1)]
-    shape = verify_value_monotone_convex(vf, seed=seed, tol=shape_tol)
+    shape = verify_value_monotone_convex(vf, seed=seed)
     return {
         "model": m.name,
         "method": method,

@@ -140,10 +140,10 @@ def test_solver_flag_validation(ex1_path):
     assert main(["solve", ex1_path, "--grid", "0", "--horizon", "2"]) == 2
     assert main(["solve", ex1_path, "--residual", "-1.0"]) == 2
     assert main(["solve", ex1_path, "--horizon", "-3"]) == 2
-    assert main(["solve", ex1_path, "--tol", "nope=1e-9", "--horizon",
-                 "2"]) == 2
     with pytest.raises(SystemExit):             # argparse rejects the pair
         main(["solve", ex1_path, "--horizon", "2", "--residual", "1e-8"])
+    with pytest.raises(SystemExit):             # no --tol flag
+        main(["solve", ex1_path, "--tol", "nope=1e-9", "--horizon", "2"])
 
 
 @pytest.mark.parametrize("stop", [["--horizon", "6"], ["--grid", "35"]])
@@ -158,6 +158,31 @@ def test_solve_over_cross_sum_cap_exits_two(capsys, tmp_path, stop):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cross-sum")
+
+
+@pytest.mark.parametrize("discount", [-0.5, 1.0, 1.2])
+@pytest.mark.parametrize("method", ["grid", "exact"])
+def test_residual_solve_rejects_discount_outside_unit_interval(
+        capsys, tmp_path, method, discount):
+    """No residual is ever reached outside 0 <= rho < 1, so a residual
+    solve exits 2 at once instead of reporting one sweep or running on."""
+    m = gen_example("ex1")
+    path = tmp_path / "bad.json"
+    save_model(make_model(name="bad", discount=discount,
+                          transition=m.transition, observation=m.observation,
+                          reward=m.reward), path)
+    assert main(["solve", str(path), "--method", method, "--grid", "5",
+                 "--residual", "1e-2"]) == 2
+    assert "discount in [0, 1)" in capsys.readouterr().err
+
+
+def test_horizon_solve_allows_discount_above_one(capsys, tmp_path):
+    m = gen_example("ex1")
+    path = tmp_path / "bad.json"
+    save_model(make_model(name="bad", discount=1.2, transition=m.transition,
+                          observation=m.observation, reward=m.reward), path)
+    code, doc = run_json(capsys, ["solve", str(path), "--horizon", "3"])
+    assert code == 0 and doc["horizon"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 policy queries, and the cross-method consistency contracts."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,24 +175,25 @@ def test_batch_margin_lanes_are_independent(monkeypatch):
 
 def test_streaming_top2_matches_sort_oracle():
     # Integer rows and beliefs in steps of 1/64 make every product exact,
-    # so blockwise and whole-matrix products agree bit for bit.
+    # so blockwise and whole-matrix products agree bit for bit.  300 points
+    # span three score blocks; 40 fit in one.
     rng = np.random.default_rng(34)
     eps = 1e-10
-    points = rng.multinomial(64, np.ones(3) / 3, size=40) / 64.0
-    for num_rows, block in ((50, 7), (50, 8192), (1, 7)):
+    for num_points, num_rows in ((300, 50), (40, 50), (300, 1)):
+        points = rng.multinomial(64, np.ones(3) / 3, size=num_points) / 64.0
         rows = rng.integers(-1000, 1000, (num_rows, 3)).astype(float)
-        idx, top, second = _streaming_top2(rows, points, block=block)
+        idx, top, second = _streaming_top2(rows, points)
         want_top, want_second = top2_sort_oracle(rows, points)
         assert np.array_equal(top, want_top)
         assert np.array_equal(second, want_second)
-        assert np.array_equal(top, (points @ rows.T)[np.arange(40), idx])
+        assert np.array_equal(top, (points @ rows.T)[np.arange(num_points), idx])
         if num_rows == 1:
             assert (second == -np.inf).all() and (idx == 0).all()
 
-    # Every row twice, with the copies in different blocks: the runner-up
-    # equals the top, so no gap exceeds eps and no index is trusted.
+    # Every row twice: the runner-up equals the top, so no gap exceeds eps
+    # and no index is trusted.
     rows = rng.integers(-1000, 1000, (6, 3)).astype(float)
-    idx, top, second = _streaming_top2(np.vstack([rows, rows]), points, block=4)
+    idx, top, second = _streaming_top2(np.vstack([rows, rows]), points)
     assert np.array_equal(second, top)
     assert not (top - second > eps).any()
     assert np.array_equal(top, top2_sort_oracle(rows, points)[0])
@@ -322,6 +324,37 @@ def test_q_values_match_depth_two_expectimax():
             q = _q_batch(m, vf.vectors, pi[None, :])[0]
             assert q.max() == pytest.approx(
                 expectimax_value(m, pi, 2), abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "hierarchical"])
+def test_q_batch_is_the_q_the_grid_backup_maximizes(name):
+    """verify measures Q through _q_batch; it must be bit for bit the Q
+    the grid solver maximized, or a verdict could hinge on rounding."""
+    m = gen_example(name)
+    vectors = solve_grid(m, resolution=35, horizon=40).vectors
+    beliefs = belief_grid(3, 35)
+    q = _q_batch(m, vectors, beliefs)
+    assert np.array_equal(q.max(axis=1), _grid_backup(m, vectors, beliefs)[0])
+
+
+def test_envelope_evaluations_stay_small():
+    """5151 beliefs x 4000 vectors is a 157 MiB score matrix; the blocked
+    kernel keeps every evaluation's traced peak far below that."""
+    beliefs = belief_grid(3, 100)
+    vectors = np.random.default_rng(7).uniform(-1.0, 1.0, (4000, 3))
+    vf = ExactVF(vectors=vectors, actions=np.zeros(4000, dtype=int), horizon=1)
+    m = gen_example("ex2")
+    evaluations = (lambda: vf.values_at(beliefs),
+                   lambda: _q_batch(m, vectors, beliefs),
+                   lambda: _streaming_top2(vectors, beliefs))
+    for evaluate in evaluations:
+        tracemalloc.start()
+        try:
+            evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_policy_tie_breaks_to_lowest_action(tmp_path):
