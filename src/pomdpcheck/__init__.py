@@ -29,8 +29,8 @@ from .orders import (OrderVerdict, blackwell_dominates, check_a5, check_a7,
                      reverse_factorization)
 from .solver import (CapacityError, ExactVF, GridVF, gamma_monotone_report,
                      prune, solve_exact, solve_grid, vf_to_dict)
-from .structural import (AssumptionReport, assumption_report, compare_models,
-                         psi, psi_sweep, slack_budget, solve_for_verification,
+from .structural import (assumption_report, compare_models, psi, psi_sweep,
+                         slack_budget, solve_for_verification,
                          verification_report, verify_policy_dominance,
                          verify_q_diff_monotone, verify_range_containment,
                          verify_value_monotone_convex)
@@ -38,8 +38,8 @@ from .structural import (AssumptionReport, assumption_report, compare_models,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport", "CapacityError", "ExactVF", "GridVF",
-    "ModelFormatError", "OrderVerdict", "PomdpModel", "assumption_report",
+    "CapacityError", "ExactVF", "GridVF", "ModelFormatError",
+    "OrderVerdict", "PomdpModel", "assumption_report",
     "belief_grid", "blackwell_dominates", "check_a5", "check_a7",
     "compare_models", "copositive_dominates", "fosd_dominates",
     "gamma_matrices", "gamma_monotone_report", "gen_example", "is_copositive",

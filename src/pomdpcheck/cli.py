@@ -14,8 +14,9 @@ compare   Two-model value comparison under the cross-model hypotheses;
 gen       Emit a bundled example model (round-trips byte-identically).
 
 Exit codes: 0 success, 1 violated expectations, 2 input or numerical errors
-(malformed JSON, dimension mismatches, LP failures, solver non-convergence,
-an exact cross-sum over its vector cap).
+(malformed JSON, dimension mismatches, a transition or observation row that
+is not a probability distribution, LP failures, solver non-convergence, an
+exact cross-sum over its vector cap).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import json
 import sys
 
 from .examples import gen_example, list_examples
-from .model import ModelFormatError, belief_grid, load_model, model_to_json, \
-    validate_model
+from .model import (ModelFormatError, _row_violations, belief_grid,
+                    load_model, model_to_json, validate_model)
 from .solver import (CapacityError, _lowest_argmax, _mode_or_error, _q_batch,
                      gamma_monotone_report, vf_to_dict)
 from .structural import (DEFAULT_RESIDUAL, assumption_report, compare_models,
@@ -41,6 +42,17 @@ def _emit(doc: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _load_stochastic(path: str):
+    """Load a model to compute on: a transition or observation row that is
+    not a probability distribution is an input error, with validate's
+    messages."""
+    m = load_model(path)
+    violations = _row_violations(m)
+    if violations:
+        raise ModelFormatError("; ".join(violations))
+    return m
 
 
 def _write_policy_csv(path: str, m, vf, resolution: int) -> None:
@@ -75,15 +87,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    m = load_model(args.model)
-    report = assumption_report(m)
-    doc = {"model": m.name, **report.to_dict()}
-    _emit(doc, args.out)
+    m = _load_stochastic(args.model)
+    _emit({"model": m.name, **assumption_report(m)}, args.out)
     return 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    m = load_model(args.model)
+    m = _load_stochastic(args.model)
     method = args.method or "exact"
     vf = solve_for_verification(m, method=method, resolution=args.grid,
                                 horizon=args.horizon, residual=args.residual)
@@ -98,7 +108,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    m = load_model(args.model)
+    m = _load_stochastic(args.model)
     report = verification_report(
         m, resolution=args.grid, residual=args.residual, horizon=args.horizon,
         method=args.method or "grid")
@@ -113,8 +123,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    strong = load_model(args.strong)
-    weak = load_model(args.weak)
+    strong = _load_stochastic(args.strong)
+    weak = _load_stochastic(args.weak)
     report = compare_models(strong, weak, resolution=args.grid,
                             residual=args.residual, horizon=args.horizon,
                             method=args.method or "grid")

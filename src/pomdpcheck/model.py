@@ -128,6 +128,13 @@ def validate_model(m: PomdpModel) -> list[str]:
         violations.append(f"discount {m.discount} is negative")
     if not (m.discount < 1.0):
         violations.append("discount not < 1")
+    return violations + _row_violations(m)
+
+
+def _row_violations(m: PomdpModel) -> list[str]:
+    """Every transition or observation row with an entry outside [0, 1] or a
+    sum more than ROW_SUM_TOL away from 1."""
+    violations = []
     for label, stack in (("transition", m.transition), ("observation", m.observation)):
         for u in range(m.num_actions):
             mat = stack[u]
@@ -229,16 +236,16 @@ def reward_shift_controlled(m: PomdpModel):
     return f, shifted, residual
 
 
-def reward_shift_general(m: PomdpModel, margin: float = SHIFT_MARGIN) -> ShiftFeasibility:
+def reward_shift_general(m: PomdpModel) -> ShiftFeasibility:
     """Search for a state potential f making (I - discount P(u)) f strictly
-    increasing for every action, via LP feasibility with the given margin.
+    increasing for every action, via LP feasibility with margin SHIFT_MARGIN.
 
     Genuine infeasibility and numerical failure are reported distinctly.
     """
     rows = _shift_rows(m)
     if rows.size == 0:
         return ShiftFeasibility(status="feasible", f=np.zeros(m.num_states))
-    outcome = lp.lp_solve(g_ub=-rows, h_ub=-margin * np.ones(rows.shape[0]),
+    outcome = lp.lp_solve(g_ub=-rows, h_ub=np.full(len(rows), -SHIFT_MARGIN),
                           free=np.ones(m.num_states, dtype=bool))
     if outcome.status == lp.FEASIBLE:
         return ShiftFeasibility(status="feasible", f=outcome.x)

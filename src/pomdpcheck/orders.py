@@ -10,7 +10,8 @@ factor on the left).
 Every predicate returns an :class:`OrderVerdict`; failed verdicts carry a
 witness with the indices and values of the violated inequality.  Verdicts
 whose computation rests on an LP can also come back undetermined
-(``holds is None``) when the solver reports numerical failure.
+(``holds is None``) when the solver reports numerical failure.  A
+non-finite input entry raises ValueError.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def _vec(value, name="vector") -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return arr
 
 
@@ -58,13 +61,15 @@ def _mat(value, name="matrix") -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return arr
 
 
-def mlr_dominates(pi1, pi2, tol: float = PAIR_TOL) -> OrderVerdict:
+def mlr_dominates(pi1, pi2) -> OrderVerdict:
     """Does pi1 dominate pi2 in the monotone likelihood ratio order?
 
-    Holds iff pi1[i] * pi2[j] <= pi2[i] * pi1[j] for all i < j (within tol).
+    Holds iff pi1[i] * pi2[j] <= pi2[i] * pi1[j] + PAIR_TOL for all i < j.
     """
     p1, p2 = _vec(pi1, "pi1"), _vec(pi2, "pi2")
     if p1.size != p2.size:
@@ -74,7 +79,7 @@ def mlr_dominates(pi1, pi2, tol: float = PAIR_TOL) -> OrderVerdict:
     gap = lhs - rhs
     gap[np.tril_indices(p1.size)] = -np.inf  # only i < j matters
     worst = gap.max()
-    if worst <= tol:
+    if worst <= PAIR_TOL:
         return OrderVerdict(holds=True)
     i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
     return OrderVerdict(holds=False, witness={
@@ -82,9 +87,9 @@ def mlr_dominates(pi1, pi2, tol: float = PAIR_TOL) -> OrderVerdict:
         "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])})
 
 
-def fosd_dominates(p1, p2, tol: float = PAIR_TOL) -> OrderVerdict:
+def fosd_dominates(p1, p2) -> OrderVerdict:
     """First-order stochastic dominance: every upper tail of p1 weighs at
-    least as much as the same tail of p2 (within tol)."""
+    least as much as the same tail of p2 (within PAIR_TOL)."""
     a, b = _vec(p1, "p1"), _vec(p2, "p2")
     if a.size != b.size:
         raise ValueError("vectors must have equal length")
@@ -92,20 +97,20 @@ def fosd_dominates(p1, p2, tol: float = PAIR_TOL) -> OrderVerdict:
     tail2 = np.cumsum(b[::-1])[::-1]
     margins = tail1 - tail2
     j = int(np.argmin(margins))
-    if margins[j] >= -tol:
+    if margins[j] >= -PAIR_TOL:
         return OrderVerdict(holds=True)
     return OrderVerdict(holds=False, witness={
         "kind": "fosd", "j": j,
         "tail1": float(tail1[j]), "tail2": float(tail2[j])})
 
 
-def is_tp2(matrix, tol: float = PAIR_TOL) -> OrderVerdict:
-    """Total positivity of order two: all 2x2 minors nonnegative (within tol).
+def is_tp2(matrix) -> OrderVerdict:
+    """Total positivity of order two: every 2x2 minor is >= -PAIR_TOL.
 
     Negative entries are rejected outright.
     """
     m = _mat(matrix, "matrix")
-    if m.min() < -tol:
+    if m.min() < -PAIR_TOL:
         raise ValueError(f"matrix has negative entry {m.min()}")
     n, cols = m.shape
     t1 = np.einsum("ij,kl->ikjl", m, m)
@@ -119,7 +124,7 @@ def is_tp2(matrix, tol: float = PAIR_TOL) -> OrderVerdict:
     flat = int(np.argmin(sub))
     r, c = np.unravel_index(flat, sub.shape)
     worst = sub[r, c]
-    if worst >= -tol:
+    if worst >= -PAIR_TOL:
         return OrderVerdict(holds=True)
     return OrderVerdict(holds=False, witness={
         "kind": "tp2_minor", "rows": (int(ii[r]), int(kk[r])),
@@ -176,9 +181,9 @@ def _face_stationary_candidates(a: np.ndarray):
             yield point / total
 
 
-def is_copositive(matrix, margin: float = COPOSITIVE_MARGIN) -> OrderVerdict:
+def is_copositive(matrix) -> OrderVerdict:
     """Is the quadratic form pi' A pi nonnegative over the whole belief simplex
-    (within the verdict margin)?
+    (within COPOSITIVE_MARGIN)?
 
     Exact: the minimum is taken over the stationary points of every face of
     the simplex (``_face_stationary_candidates``), which contain a global
@@ -203,18 +208,18 @@ def is_copositive(matrix, margin: float = COPOSITIVE_MARGIN) -> OrderVerdict:
         if value < best_val:
             best_val, best_pt = value, cand
 
-    if best_val >= -margin:
+    if best_val >= -COPOSITIVE_MARGIN:
         return OrderVerdict(holds=True)
     return OrderVerdict(holds=False, witness={
         "kind": "copositivity", "point": tuple(float(v) for v in best_pt),
         "value": best_val})
 
 
-def copositive_dominates(p1, p2, margin: float = COPOSITIVE_MARGIN) -> OrderVerdict:
+def copositive_dominates(p1, p2) -> OrderVerdict:
     """Copositive dominance of transition matrices: every symmetrized
     cross-difference matrix of (p1, p2) must be copositive."""
     for j, gamma in enumerate(gamma_matrices(p1, p2)):
-        verdict = is_copositive(gamma, margin=margin)
+        verdict = is_copositive(gamma)
         if not verdict.holds:
             witness = dict(verdict.witness)
             witness["gamma_index"] = j
@@ -222,15 +227,15 @@ def copositive_dominates(p1, p2, margin: float = COPOSITIVE_MARGIN) -> OrderVerd
     return OrderVerdict(holds=True)
 
 
-def check_a5(b1, b2, tol: float = PAIR_TOL) -> OrderVerdict:
+def check_a5(b1, b2) -> OrderVerdict:
     """Row-wise first-order dominance: every row of b2 dominates the matching
-    row of b1, i.e. CDF(b1 row) >= CDF(b2 row) columnwise (within tol)."""
+    row of b1, i.e. CDF(b1 row) >= CDF(b2 row) columnwise (within PAIR_TOL)."""
     m1, m2 = _mat(b1, "b1"), _mat(b2, "b2")
     if m1.shape != m2.shape:
         raise ValueError("matrices must have equal shape")
     gap = np.cumsum(m1, axis=1) - np.cumsum(m2, axis=1)
     i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    if gap[i, j] >= -tol:
+    if gap[i, j] >= -PAIR_TOL:
         return OrderVerdict(holds=True)
     return OrderVerdict(holds=False, witness={
         "kind": "row_dominance", "row": int(i), "col": int(j),
@@ -238,13 +243,13 @@ def check_a5(b1, b2, tol: float = PAIR_TOL) -> OrderVerdict:
         "cdf2": float(np.cumsum(m2, axis=1)[i, j])})
 
 
-def lehmann_precision(b1, b2, tol: float = PAIR_TOL) -> OrderVerdict:
+def lehmann_precision(b1, b2) -> OrderVerdict:
     """Single-crossing precision order: b2 is more precise than b1.
 
     For every pair of column cutoffs (j for b1, l for b2), the sequence
     d_i = CDF_b1[i, j] - CDF_b2[i, l] over rows i must never step from
-    strictly positive to strictly negative; values within tol of zero are
-    sign-neutral.
+    strictly positive to strictly negative; values within PAIR_TOL of zero
+    are sign-neutral.
 
     Only whole-column cutoffs are tested.  Lehmann's order for discrete
     signals is stated for the signal made continuous by adding uniform
@@ -265,9 +270,9 @@ def lehmann_precision(b1, b2, tol: float = PAIR_TOL) -> OrderVerdict:
             diffs = c1[:, j] - c2[:, l]
             seen_positive_at = None
             for i, d in enumerate(diffs):
-                if d > tol:
+                if d > PAIR_TOL:
                     seen_positive_at = i
-                elif d < -tol and seen_positive_at is not None:
+                elif d < -PAIR_TOL and seen_positive_at is not None:
                     return OrderVerdict(holds=False, witness={
                         "kind": "sign_change", "col1": int(j), "col2": int(l),
                         "row_positive": int(seen_positive_at), "row_negative": int(i),
@@ -276,13 +281,13 @@ def lehmann_precision(b1, b2, tol: float = PAIR_TOL) -> OrderVerdict:
     return OrderVerdict(holds=True)
 
 
-def check_a7(b1, b2, tol: float = PAIR_TOL) -> OrderVerdict:
+def check_a7(b1, b2) -> OrderVerdict:
     """Boundary-column consistency of an observation-matrix pair.
 
     With b1 in the less-informative role and b2 in the more-informative role,
-    requires for every row i:
-      first column:  b1[i, 0] * b2[X-1, 0]  <=  b2[i, 0] * b1[X-1, 0]   (+tol)
-      last column:   b1[i, -1] * b2[X-1, -1] >= b2[i, -1] * b1[X-1, -1] (-tol)
+    requires for every row i, within PAIR_TOL:
+      first column:  b1[i, 0] * b2[X-1, 0]  <=  b2[i, 0] * b1[X-1, 0]
+      last column:   b1[i, -1] * b2[X-1, -1] >= b2[i, -1] * b1[X-1, -1]
     Products of zeros satisfy both sides.
     """
     m1, m2 = _mat(b1, "b1"), _mat(b2, "b2")
@@ -292,13 +297,13 @@ def check_a7(b1, b2, tol: float = PAIR_TOL) -> OrderVerdict:
     for i in range(m1.shape[0]):
         lhs = m1[i, 0] * m2[last, 0]
         rhs = m2[i, 0] * m1[last, 0]
-        if lhs > rhs + tol:
+        if lhs > rhs + PAIR_TOL:
             return OrderVerdict(holds=False, witness={
                 "kind": "boundary_first_col", "row": int(i),
                 "lhs": float(lhs), "rhs": float(rhs)})
         lhs = m1[i, -1] * m2[last, -1]
         rhs = m2[i, -1] * m1[last, -1]
-        if lhs < rhs - tol:
+        if lhs < rhs - PAIR_TOL:
             return OrderVerdict(holds=False, witness={
                 "kind": "boundary_last_col", "row": int(i),
                 "lhs": float(lhs), "rhs": float(rhs)})

@@ -31,6 +31,7 @@ PRUNE_EPS = 1e-10
 TIE_TOL = 1e-10
 GAMMA_TOL = 1e-10
 CROSS_SUM_CAP = 100_000
+EXACT_MAX_ITER = 100_000  # margin LPs resolve a residual only to about 1e-9
 
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-11
@@ -387,17 +388,17 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     return dedup[np.flatnonzero(in_r)]
 
 
-def prune(vectors, eps: float = PRUNE_EPS):
+def prune(vectors):
     """Remove pointwise- and LP-dominated vectors from a set.
 
     A vector survives iff some belief strictly prefers it to all the others
-    by more than eps, so the max over the pruned set equals the max over the
-    input set at every belief (within eps).  Returns (pruned, kept_indices).
+    by more than PRUNE_EPS, so the pruned set's max matches the input set's
+    at every belief within PRUNE_EPS.  Returns (pruned, kept_indices).
     """
     arr = np.atleast_2d(np.asarray(vectors, dtype=float))
     if arr.size == 0:
         return np.empty((0, arr.shape[1])), np.empty(0, dtype=int)
-    kept = _prune_arrays(arr, eps)
+    kept = _prune_arrays(arr, PRUNE_EPS)
     return arr[kept].copy(), kept
 
 
@@ -405,7 +406,7 @@ def prune(vectors, eps: float = PRUNE_EPS):
 # Exact value iteration
 # ---------------------------------------------------------------------------
 
-def _backup_arrays(m: PomdpModel, vectors: np.ndarray, *, cap: int, eps: float):
+def _backup_arrays(m: PomdpModel, vectors: np.ndarray, *, cap: int):
     """One exact Bellman backup of an alpha-vector set.
 
     Per action: back-project the vectors through each observation, prune,
@@ -419,7 +420,7 @@ def _backup_arrays(m: PomdpModel, vectors: np.ndarray, *, cap: int, eps: float):
         current = m.reward[u][None, :]
         for y in range(m.num_obs):
             proj = projections[u, y]
-            proj = proj[_prune_arrays(proj, eps)]
+            proj = proj[_prune_arrays(proj, PRUNE_EPS)]
             size = current.shape[0] * proj.shape[0]
             if size > cap:
                 raise CapacityError(
@@ -430,12 +431,12 @@ def _backup_arrays(m: PomdpModel, vectors: np.ndarray, *, cap: int, eps: float):
                 # At y = 0 the sum is the reward row plus each pruned
                 # projection; a common shift changes no margin, so it is
                 # already pruned.
-                current = current[_prune_arrays(current, eps)]
+                current = current[_prune_arrays(current, PRUNE_EPS)]
         per_action.append(current)
     all_vectors = np.vstack(per_action)
     all_actions = np.concatenate(
         [np.full(s.shape[0], u, dtype=int) for u, s in enumerate(per_action)])
-    kept = _prune_arrays(all_vectors, eps)
+    kept = _prune_arrays(all_vectors, PRUNE_EPS)
     return all_vectors[kept], all_actions[kept]
 
 
@@ -464,8 +465,7 @@ def _mode_or_error(horizon, residual) -> None:
 
 def solve_exact(m: PomdpModel, *, horizon: int | None = None,
                 residual: float | None = None, resolution: int = 100,
-                cap: int = CROSS_SUM_CAP, eps: float = PRUNE_EPS,
-                max_iter: int = 100_000) -> ExactVF:
+                cap: int = CROSS_SUM_CAP) -> ExactVF:
     """Exact value iteration, either for a fixed horizon or to a residual.
 
     Horizon mode starts from the zero value function and performs exactly
@@ -474,9 +474,9 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
     (sound: the stopping rule depends only on the distance between
     consecutive exact iterates, not on the starting point) and stops when
     both the LP-certified sup-norm change and the grid-measured change drop
-    to ``residual`` or below.  Raises CapacityError when a cross-sum would
-    exceed ``cap`` vectors, in which case the grid solver is the practical
-    alternative.
+    to ``residual`` or below, raising ArithmeticError after EXACT_MAX_ITER
+    backups.  Raises CapacityError when a cross-sum would exceed ``cap``
+    vectors, in which case the grid solver is the practical alternative.
     """
     _mode_or_error(horizon, residual)
     grid_res = capped_resolution(m.num_states, resolution, 20_000)
@@ -486,16 +486,16 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
         steps = int(horizon)
     else:
         seed = solve_grid(m, resolution=grid_res, residual=residual)
-        kept = _prune_arrays(seed.vectors, eps)
+        kept = _prune_arrays(seed.vectors, PRUNE_EPS)
         vf = ExactVF(vectors=seed.vectors[kept], actions=seed.actions[kept],
                      horizon=0)
-        steps = max_iter
+        steps = EXACT_MAX_ITER
     history_grid = belief_grid(m.num_states, grid_res)
     grid_values = vf.values_at(history_grid)
     residuals: list[float] = []
     grid_residuals: list[float] = []
     while vf.horizon < steps:
-        vectors, actions = _backup_arrays(m, vf.vectors, cap=cap, eps=eps)
+        vectors, actions = _backup_arrays(m, vf.vectors, cap=cap)
         new = ExactVF(vectors=vectors, actions=actions, horizon=vf.horizon + 1)
         new_values = new.values_at(history_grid)
         residuals.append(_sup_residual(new.vectors, vf.vectors))
@@ -629,11 +629,11 @@ def _q_batch(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray) -> np.ndar
     return _point_q(m, vectors, beliefs)[0]
 
 
-def _lowest_argmax(scores: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
-    """Per row of ``scores``, the lowest index whose score is within tie_tol
+def _lowest_argmax(scores: np.ndarray) -> np.ndarray:
+    """Per row of ``scores``, the lowest index whose score is within TIE_TOL
     of the row's best (ties broken down)."""
     best = scores.max(axis=-1, keepdims=True)
-    return np.argmax(scores >= best - tie_tol, axis=-1)
+    return np.argmax(scores >= best - TIE_TOL, axis=-1)
 
 
 def gamma_monotone_report(vf: ExactVF, tol: float = GAMMA_TOL) -> dict:
@@ -662,12 +662,12 @@ def gamma_monotone_report(vf: ExactVF, tol: float = GAMMA_TOL) -> dict:
     }
 
 
-def vf_to_dict(vf, *, action_base: int = 1) -> dict:
-    """JSON-ready dict for a value function (actions reported 1-based by
-    default, matching the command-line output convention)."""
+def vf_to_dict(vf) -> dict:
+    """JSON-ready dict for a value function, actions reported 1-based as in
+    every command-line output."""
     if not isinstance(vf, (ExactVF, GridVF)):
         raise TypeError(f"not a value function: {type(vf).__name__}")
-    vectors = [{"values": [float(x) for x in vec], "action": int(a) + action_base}
+    vectors = [{"values": [float(x) for x in vec], "action": int(a) + 1}
                for vec, a in zip(vf.vectors, vf.actions)]
     if isinstance(vf, ExactVF):
         return {

@@ -28,11 +28,9 @@ bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import (PomdpModel, ShiftFeasibility, _belief_array, belief_grid,
+from .model import (PomdpModel, _belief_array, belief_grid,
                     reward_shift_general)
 from .orders import (PAIR_TOL, OrderVerdict, blackwell_dominates, check_a5,
                      check_a7, copositive_dominates, is_tp2, lehmann_precision,
@@ -41,8 +39,8 @@ from .solver import (TIE_TOL, _lowest_argmax, _mode_or_error, _q_batch,
                      solve_exact, solve_grid)
 
 SHAPE_TOL = 1e-9
+SHAPE_POINTS = 21
 RANGE_TOL = 1e-10
-PSI_END_TOL = 1e-12
 DEFAULT_RESOLUTION = 100
 DEFAULT_RESIDUAL = 1e-8
 PSI_LAMBDA_POINTS = 201
@@ -67,64 +65,9 @@ def _all_hold(verdicts) -> bool:
     return all(v.holds is True for v in verdicts)
 
 
-@dataclass(frozen=True, eq=False)
-class AssumptionReport:
-    """Every hypothesis verdict for one model, plus derived applicability.
-
-    Per-action checks (monotone rewards, TP2 kernels) are tuples indexed by
-    action; pairwise checks (copositive transition dominance, row-wise
-    first-order dominance, single-crossing precision, boundary consistency,
-    the two factorization orders) are tuples indexed by consecutive action
-    pair (u, u+1).  ``statement1_applicable`` requires a shared transition
-    matrix with TP2 kernels plus the precision and boundary conditions;
-    ``statement2_applicable`` is the general-transition variant that adds
-    monotone rewards, copositive dominance, and row-wise dominance.
-    The precision condition is tested at whole-column cutoffs only (see
-    ``lehmann_precision``), which may be weaker than the paper's order, so
-    applicability here does not guarantee myopic-policy dominance.
-    """
-
-    a1: tuple[OrderVerdict, ...]
-    a1_prime: ShiftFeasibility
-    a2: tuple[OrderVerdict, ...]
-    a3: tuple[OrderVerdict, ...]
-    a4: tuple[OrderVerdict, ...]
-    a5: tuple[OrderVerdict, ...]
-    a6: tuple[OrderVerdict, ...]
-    a7: tuple[OrderVerdict, ...]
-    blackwell: tuple[OrderVerdict, ...]
-    reverse_factor: tuple[OrderVerdict, ...]
-    shared_transition: bool
-    statement1_applicable: bool
-    statement2_applicable: bool
-    notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "a1_monotone_rewards": [_verdict_dict(v) for v in self.a1],
-            "a1_prime_reward_shift": {
-                "status": self.a1_prime.status,
-                "f": None if self.a1_prime.f is None
-                else [float(x) for x in self.a1_prime.f],
-            },
-            "a2_tp2_transition": [_verdict_dict(v) for v in self.a2],
-            "a3_tp2_observation": [_verdict_dict(v) for v in self.a3],
-            "a4_copositive_dominance": [_verdict_dict(v) for v in self.a4],
-            "a5_row_dominance": [_verdict_dict(v) for v in self.a5],
-            "a6_precision": [_verdict_dict(v) for v in self.a6],
-            "a7_boundary": [_verdict_dict(v) for v in self.a7],
-            "blackwell": [_verdict_dict(v) for v in self.blackwell],
-            "reverse_factor": [_verdict_dict(v) for v in self.reverse_factor],
-            "shared_transition": self.shared_transition,
-            "statement1_applicable": self.statement1_applicable,
-            "statement2_applicable": self.statement2_applicable,
-            "notes": list(self.notes),
-        }
-
-
-def _monotone_rewards(r: np.ndarray, tol: float = PAIR_TOL) -> OrderVerdict:
+def _monotone_rewards(r: np.ndarray) -> OrderVerdict:
     diffs = np.diff(r)
-    if diffs.size == 0 or diffs.min() >= -tol:
+    if diffs.size == 0 or diffs.min() >= -PAIR_TOL:
         return OrderVerdict(holds=True)
     i = int(np.argmin(diffs))
     return OrderVerdict(holds=False, witness={
@@ -132,29 +75,36 @@ def _monotone_rewards(r: np.ndarray, tol: float = PAIR_TOL) -> OrderVerdict:
         "value": float(r[i]), "next": float(r[i + 1])})
 
 
-def assumption_report(m: PomdpModel) -> AssumptionReport:
+def assumption_report(m: PomdpModel) -> dict:
     """Run every hypothesis checker on the model and derive applicability.
 
-    Pairwise checks are run on consecutive action pairs only; with a single
-    action they are vacuous and a note records that.  LP-backed verdicts
-    that fail numerically surface as ``holds is None`` with a note, and an
-    undetermined verdict never counts toward applicability.
+    Returns the JSON-ready document ``pomdpcheck check`` prints.  Per-action
+    verdicts (a1 monotone rewards, a2/a3 TP2 kernels) are listed by action,
+    pairwise ones (a4-a7, blackwell, reverse_factor) by consecutive action
+    pair (u, u+1); with one action those lists are empty and a note says so.
+    An LP-backed verdict that fails numerically has ``holds`` None, gets a
+    note and never counts toward applicability.  ``statement1_applicable``
+    needs a shared transition matrix, TP2 kernels, a6 and a7;
+    ``statement2_applicable`` needs a1-a7.  a6 is tested at whole-column
+    cutoffs only (see ``lehmann_precision``), which may be weaker than the
+    paper's order, so applicability does not guarantee myopic-policy
+    dominance.
     """
     pairs = range(m.num_actions - 1)
-    a1 = tuple(_monotone_rewards(m.reward[u]) for u in range(m.num_actions))
+    a1 = [_monotone_rewards(m.reward[u]) for u in range(m.num_actions)]
     a1p = reward_shift_general(m)
-    a2 = tuple(is_tp2(m.transition[u]) for u in range(m.num_actions))
-    a3 = tuple(is_tp2(m.observation[u]) for u in range(m.num_actions))
-    a4 = tuple(copositive_dominates(m.transition[u], m.transition[u + 1])
-               for u in pairs)
-    a5 = tuple(check_a5(m.observation[u], m.observation[u + 1]) for u in pairs)
-    a6 = tuple(lehmann_precision(m.observation[u], m.observation[u + 1])
-               for u in pairs)
-    a7 = tuple(check_a7(m.observation[u], m.observation[u + 1]) for u in pairs)
-    blackwell = tuple(blackwell_dominates(m.observation[u + 1], m.observation[u])
-                      for u in pairs)
-    reverse = tuple(reverse_factorization(m.observation[u], m.observation[u + 1])
-                    for u in pairs)
+    a2 = [is_tp2(m.transition[u]) for u in range(m.num_actions)]
+    a3 = [is_tp2(m.observation[u]) for u in range(m.num_actions)]
+    a4 = [copositive_dominates(m.transition[u], m.transition[u + 1])
+          for u in pairs]
+    a5 = [check_a5(m.observation[u], m.observation[u + 1]) for u in pairs]
+    a6 = [lehmann_precision(m.observation[u], m.observation[u + 1])
+          for u in pairs]
+    a7 = [check_a7(m.observation[u], m.observation[u + 1]) for u in pairs]
+    blackwell = [blackwell_dominates(m.observation[u + 1], m.observation[u])
+                 for u in pairs]
+    reverse = [reverse_factorization(m.observation[u], m.observation[u + 1])
+               for u in pairs]
 
     notes = []
     if m.num_actions == 1:
@@ -169,12 +119,25 @@ def assumption_report(m: PomdpModel) -> AssumptionReport:
     statement2 = bool(_all_hold(a1) and _all_hold(a2) and _all_hold(a3)
                       and _all_hold(a4) and _all_hold(a5) and _all_hold(a6)
                       and _all_hold(a7))
-    return AssumptionReport(
-        a1=a1, a1_prime=a1p, a2=a2, a3=a3, a4=a4, a5=a5, a6=a6, a7=a7,
-        blackwell=blackwell, reverse_factor=reverse,
-        shared_transition=m.shared_transition,
-        statement1_applicable=statement1, statement2_applicable=statement2,
-        notes=tuple(notes))
+    return {
+        "a1_monotone_rewards": [_verdict_dict(v) for v in a1],
+        "a1_prime_reward_shift": {
+            "status": a1p.status,
+            "f": None if a1p.f is None else [float(x) for x in a1p.f],
+        },
+        "a2_tp2_transition": [_verdict_dict(v) for v in a2],
+        "a3_tp2_observation": [_verdict_dict(v) for v in a3],
+        "a4_copositive_dominance": [_verdict_dict(v) for v in a4],
+        "a5_row_dominance": [_verdict_dict(v) for v in a5],
+        "a6_precision": [_verdict_dict(v) for v in a6],
+        "a7_boundary": [_verdict_dict(v) for v in a7],
+        "blackwell": [_verdict_dict(v) for v in blackwell],
+        "reverse_factor": [_verdict_dict(v) for v in reverse],
+        "shared_transition": m.shared_transition,
+        "statement1_applicable": statement1,
+        "statement2_applicable": statement2,
+        "notes": notes,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +188,12 @@ def solve_for_verification(m: PomdpModel, *, method: str = "grid",
 
 def verify_policy_dominance(m: PomdpModel, vf, *,
                             resolution: int = DEFAULT_RESOLUTION,
-                            slack: float = 0.0,
-                            tie_tol: float = TIE_TOL) -> dict:
+                            slack: float = 0.0) -> dict:
     """Check that the optimal policy never falls below the myopic policy.
 
     For every grid belief the myopic action is the lowest-index immediate
     argmax; a violation is recorded when every Q-value at actions >= myopic
-    sits more than slack + tie_tol below the best Q overall, i.e. when even
+    sits more than slack + TIE_TOL below the best Q overall, i.e. when even
     tie-tolerant selection could not pick an action at or above the myopic
     one.  ``min_margin`` is the worst gap max_{u >= myopic} Q - max_u Q over
     the grid (0 when dominance holds exactly); actions in the violation
@@ -239,11 +201,11 @@ def verify_policy_dominance(m: PomdpModel, vf, *,
     """
     beliefs = belief_grid(m.num_states, resolution)
     q = _q_batch(m, vf.vectors, beliefs)
-    myopic = _lowest_argmax(beliefs @ m.reward.T, tie_tol)
+    myopic = _lowest_argmax(beliefs @ m.reward.T)
     suffix_best = np.maximum.accumulate(q[:, ::-1], axis=1)[:, ::-1]
     margins = suffix_best[np.arange(beliefs.shape[0]), myopic] - q.max(axis=1)
-    bad = np.flatnonzero(margins < -(slack + tie_tol))
-    optimal = _lowest_argmax(q[bad], tie_tol)
+    bad = np.flatnonzero(margins < -(slack + TIE_TOL))
+    optimal = _lowest_argmax(q[bad])
     violations = [{
         "belief": [float(x) for x in beliefs[i]],
         "myopic_action": int(myopic[i]) + 1,
@@ -398,16 +360,16 @@ def psi_sweep(m: PomdpModel, beliefs, *,
     }
 
 
-def verify_range_containment(m: PomdpModel, beliefs, u_low: int, u_high: int,
-                             tol: float = RANGE_TOL) -> dict:
+def verify_range_containment(m: PomdpModel, beliefs, u_low: int,
+                             u_high: int) -> dict:
     """Check that the posterior-tail range of the higher action contains the
     lower action's range at every belief.
 
     Only observations with positive probability contribute, and a belief
     where either action has none is skipped.  Records each belief where
-    min(high tails) > min(low tails) + tol or
-    max(high tails) < max(low tails) - tol.  Action indices out of range
-    raise ValueError.
+    min(high tails) > min(low tails) + RANGE_TOL or
+    max(high tails) < max(low tails) - RANGE_TOL.  Action indices out of
+    range raise ValueError.
     """
     _check_action_pair(m, u_low, u_high)
     pts = np.atleast_2d(np.asarray(beliefs, dtype=float))
@@ -417,7 +379,8 @@ def verify_range_containment(m: PomdpModel, beliefs, u_low: int, u_high: int,
     lows = np.min(normalized[:, pair], axis=2, where=live, initial=np.inf)
     highs = np.max(normalized[:, pair], axis=2, where=live, initial=-np.inf)
     bad = live.any(axis=2).all(axis=1) & (
-        (lows[:, 1] > lows[:, 0] + tol) | (highs[:, 1] < highs[:, 0] - tol))
+        (lows[:, 1] > lows[:, 0] + RANGE_TOL)
+        | (highs[:, 1] < highs[:, 0] - RANGE_TOL))
     failures = [{
         "belief": [float(x) for x in pts[i]],
         "low_range": [float(lows[i, 0]), float(highs[i, 0])],
@@ -428,7 +391,7 @@ def verify_range_containment(m: PomdpModel, beliefs, u_low: int, u_high: int,
         "failures": failures,
         "num_beliefs": int(pts.shape[0]),
         "pair": [int(u_low) + 1, int(u_high) + 1],
-        "tol": float(tol),
+        "tol": RANGE_TOL,
     }
 
 
@@ -437,11 +400,10 @@ def verify_range_containment(m: PomdpModel, beliefs, u_low: int, u_high: int,
 # ---------------------------------------------------------------------------
 
 def verify_value_monotone_convex(vf, *, num_lines: int = 100,
-                                 num_points: int = 21,
                                  seed: int = 0,
                                  tol: float = SHAPE_TOL) -> dict:
-    """Sample lines from random zero-last-coordinate bases to the last vertex
-    and check the envelope is nondecreasing and convex along each.
+    """Sample SHAPE_POINTS-point lines from random zero-last-coordinate bases
+    to the last vertex; check the envelope is nondecreasing and convex on each.
 
     Monotone margin: the most negative consecutive difference along any
     line.  Convexity margin: the most negative value of
@@ -453,12 +415,12 @@ def verify_value_monotone_convex(vf, *, num_lines: int = 100,
         raise ValueError("shape checks need at least two states")
     bases = np.random.default_rng(seed).dirichlet(np.ones(num_states - 1),
                                                   size=num_lines)
-    eps = np.linspace(0.0, 1.0, num_points)
-    lines = np.zeros((num_lines, num_points, num_states))
+    eps = np.linspace(0.0, 1.0, SHAPE_POINTS)
+    lines = np.zeros((num_lines, SHAPE_POINTS, num_states))
     lines[:, :, :-1] = (1.0 - eps)[None, :, None] * bases[:, None, :]
     lines[:, :, -1] = eps
     values = vf.values_at(lines.reshape(-1, num_states)).reshape(
-        num_lines, num_points)
+        num_lines, SHAPE_POINTS)
     worst_monotone = float(np.diff(values, axis=1).min())
     worst_convex = float(
         (0.5 * (values[:, :-2] + values[:, 2:]) - values[:, 1:-1]).min())
@@ -468,7 +430,7 @@ def verify_value_monotone_convex(vf, *, num_lines: int = 100,
         "min_monotone_margin": worst_monotone,
         "min_convexity_margin": worst_convex,
         "num_lines": int(num_lines),
-        "num_points": int(num_points),
+        "num_points": SHAPE_POINTS,
         "tol": float(tol),
     }
 
@@ -623,12 +585,12 @@ def verification_report(m: PomdpModel, *,
         "requested_horizon": None if horizon is None else int(horizon),
         "achieved_residual": vf.residual,
         "slack": float(slack),
-        "assumptions": assumptions.to_dict(),
+        "assumptions": assumptions,
         "theorem1": {
-            "applicable": assumptions.statement1_applicable
-            or assumptions.statement2_applicable,
-            "statement1_applicable": assumptions.statement1_applicable,
-            "statement2_applicable": assumptions.statement2_applicable,
+            "applicable": assumptions["statement1_applicable"]
+            or assumptions["statement2_applicable"],
+            "statement1_applicable": assumptions["statement1_applicable"],
+            "statement2_applicable": assumptions["statement2_applicable"],
             "dominance": dominance,
             "q_diff": q_diff,
         },

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pomdpcheck import gamma_matrices, gen_example, make_model, save_model
+from pomdpcheck import (assumption_report, gamma_matrices, gen_example,
+                        list_examples, make_model, model_to_json, save_model)
 from pomdpcheck.cli import _emit, main
 
 from oracles import copositive_kaplan_oracle
@@ -41,7 +42,6 @@ def test_validate_ok(capsys, ex1_path):
 
 
 def test_validate_bad_model_exits_two(tmp_path):
-    from pomdpcheck import model_to_json
     doc = json.loads(model_to_json(gen_example("ex1")))
     doc["observation"][0][0] = [0.9, 0.9, 0.9]      # row sums to 2.7
     path = tmp_path / "bad.json"
@@ -58,6 +58,41 @@ def test_malformed_json_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not valid json")
     assert main(["check", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["solve", "--horizon", "4"], ["verify", "--horizon", "20"],
+    ["solve", "--method", "grid", "--grid", "10"],
+    ["compare", "--grid", "5", "--horizon", "3"],
+], ids=["check", "solve", "verify", "solve-grid", "compare"])
+def test_non_stochastic_model_exits_two(capsys, tmp_path, argv):
+    """A row that is not a distribution is refused by every command that
+    computes on the model, with the messages validate gives."""
+    doc = json.loads(model_to_json(gen_example("ex1")))
+    doc["observation"][0][0] = [0.4, 0.1, 0.0]       # row sums to 0.5
+    doc["transition"]["shared"][1] = [0.1, 1.0, 0.1]  # row sums to 1.2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations == ["transition[0] row 1: row sum 1.2 != 1",
+                          "transition[1] row 1: row sum 1.2 != 1",
+                          "observation[0] row 0: row sum 0.5 != 1"]
+    models = [str(path)] * (2 if argv[0] == "compare" else 1)
+    assert main([argv[0], *models, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(v in captured.err for v in violations)
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_check_prints_the_assumption_report(capsys, tmp_path, name):
+    m = gen_example(name)
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    code, doc = run_json(capsys, ["check", str(path)])
+    assert code == 0
+    assert doc == {"model": m.name, **assumption_report(m)}
 
 
 def test_check_reports_hypotheses(capsys, ex1_path):

@@ -100,6 +100,33 @@ def test_bundled_kernels_are_tp2():
             assert is_tp2(m.observation[u]).holds
 
 
+_ROW = np.array([0.2, 0.3, 0.5])
+_PREDICATES = {
+    "mlr": lambda bad: mlr_dominates(_ROW, [0.5, bad, 0.5]),
+    "fosd": lambda bad: fosd_dominates([0.5, bad, 0.5], _ROW),
+    "tp2": lambda bad: is_tp2([[bad, 0.0], [0.0, 1.0]]),
+    "copositive": lambda bad: is_copositive([[bad, 0.0], [0.0, 1.0]]),
+    "copositive_dominates": lambda bad: copositive_dominates(
+        [[bad, 0.0], [0.0, 1.0]], np.eye(2)),
+    "gamma": lambda bad: gamma_matrices(np.eye(2), [[1.0, 0.0], [0.0, bad]]),
+    "a5": lambda bad: check_a5([[bad, 0.0], [0.0, 1.0]], np.eye(2)),
+    "lehmann": lambda bad: lehmann_precision([[bad, 0.0], [0.0, 1.0]],
+                                             np.eye(2)),
+    "a7": lambda bad: check_a7(np.eye(2), [[1.0, 0.0], [0.0, bad]]),
+    "blackwell": lambda bad: blackwell_dominates([[bad, 0.0], [0.0, 1.0]],
+                                                 np.eye(2)),
+    "reverse": lambda bad: reverse_factorization(np.eye(2),
+                                                 [[1.0, 0.0], [bad, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PREDICATES))
+def test_predicates_reject_non_finite_entries(name):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            _PREDICATES[name](bad)
+
+
 # ---------------------------------------------------------------------------
 # Copositivity and transition dominance
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_prune_preserves_envelope():
     for _ in range(25):
         n, x = int(rng.integers(3, 40)), int(rng.integers(2, 5))
         vectors = rng.uniform(-1.0, 1.0, (n, x))
-        pruned, kept = prune(vectors, 1e-10)
+        pruned, kept = prune(vectors)
         assert pruned.shape[0] == kept.size <= n
         before = envelope_on_grid(vectors, 40)
         after = envelope_on_grid(pruned, 40)
@@ -204,14 +204,14 @@ def test_prune_drops_strictly_dominated_and_duplicate_pieces():
     dominated = np.array([[-1.0, -1.0]])
     dupe = base[:1].copy()
     vectors = np.vstack([base, dominated, dupe])
-    pruned, kept = prune(vectors, 1e-10)
+    pruned, kept = prune(vectors)
     assert pruned.shape[0] == 2
     assert set(map(tuple, pruned)) == set(map(tuple, base))
 
 
 def test_prune_keeps_needed_interior_piece():
     vectors = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]])
-    pruned, _ = prune(vectors, 1e-10)
+    pruned, _ = prune(vectors)
     assert pruned.shape[0] == 3
 
 

@@ -29,22 +29,24 @@ def ex1_small(ex1):
 # Assumption report
 # ---------------------------------------------------------------------------
 
+def _holds(verdicts):
+    return [v["holds"] for v in verdicts]
+
+
 def test_assumption_report_fields_on_ex1(ex1):
     rep = assumption_report(ex1)
-    assert [v.holds for v in rep.a1] == [True, True]
-    assert rep.a1_prime.feasible
-    assert [v.holds for v in rep.a2] == [True, True]
-    assert [v.holds for v in rep.a3] == [True, True]
-    assert [v.holds for v in rep.a4] == [True]     # shared kernel: trivial
-    assert [v.holds for v in rep.a5] == [False]
-    assert [v.holds for v in rep.a6] == [True]
-    assert [v.holds for v in rep.a7] == [True]
-    assert rep.shared_transition
-    assert rep.statement1_applicable
-    assert not rep.statement2_applicable           # A5 fails
-    doc = rep.to_dict()
-    json.dumps(doc)                                # JSON-ready
-    assert doc["statement1_applicable"] is True
+    assert _holds(rep["a1_monotone_rewards"]) == [True, True]
+    assert rep["a1_prime_reward_shift"]["status"] == "feasible"
+    assert _holds(rep["a2_tp2_transition"]) == [True, True]
+    assert _holds(rep["a3_tp2_observation"]) == [True, True]
+    assert _holds(rep["a4_copositive_dominance"]) == [True]  # shared: trivial
+    assert _holds(rep["a5_row_dominance"]) == [False]
+    assert _holds(rep["a6_precision"]) == [True]
+    assert _holds(rep["a7_boundary"]) == [True]
+    assert rep["shared_transition"] is True
+    assert rep["statement1_applicable"] is True
+    assert rep["statement2_applicable"] is False   # A5 fails
+    json.dumps(rep, allow_nan=False)               # JSON-ready
 
 
 def test_assumption_report_single_action():
@@ -53,10 +55,11 @@ def test_assumption_report_single_action():
                    observation=[[[0.9, 0.1], [0.2, 0.8]]],
                    reward=[[0.0, 1.0]])
     rep = assumption_report(m)
-    assert rep.a4 == () and rep.a5 == () and rep.blackwell == ()
-    assert any("single action" in n for n in rep.notes)
-    assert rep.statement1_applicable        # vacuous pairwise hypotheses
-    assert rep.statement2_applicable
+    assert rep["a4_copositive_dominance"] == [] and \
+        rep["a5_row_dominance"] == [] and rep["blackwell"] == []
+    assert any("single action" in n for n in rep["notes"])
+    assert rep["statement1_applicable"] is True  # vacuous pairwise hypotheses
+    assert rep["statement2_applicable"] is True
 
 
 # ---------------------------------------------------------------------------
