@@ -8,6 +8,8 @@ The package splits into five layers:
 * :mod:`pomdpcheck.lp` — dense phase-1 simplex for feasibility problems.
 * :mod:`pomdpcheck.orders` — MLR/FOSD/TP2 predicates, copositive dominance,
   Lehmann precision, boundary checks, Blackwell and reverse factorizations.
+  Each returns the JSON-ready verdict dict that ``check`` prints; test
+  ``verdict["holds"] is True`` (a dict is always truthy).
 * :mod:`pomdpcheck.solver` — exact alpha-vector value iteration with LP
   pruning, point-based grid value iteration, batched Q-values and the
   alpha-vector monotonicity report.
@@ -23,7 +25,7 @@ from .model import (ModelFormatError, PomdpModel, belief_grid, load_model,
                     loads_model, make_model, model_to_json,
                     reward_shift_controlled, reward_shift_general, save_model,
                     validate_model)
-from .orders import (OrderVerdict, blackwell_dominates, check_a5, check_a7,
+from .orders import (blackwell_dominates, check_a5, check_a7,
                      copositive_dominates, fosd_dominates, gamma_matrices,
                      is_copositive, is_tp2, lehmann_precision, mlr_dominates,
                      reverse_factorization)
@@ -39,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "ExactVF", "GridVF", "ModelFormatError",
-    "OrderVerdict", "PomdpModel", "assumption_report",
+    "PomdpModel", "assumption_report",
     "belief_grid", "blackwell_dominates", "check_a5", "check_a7",
     "compare_models", "copositive_dominates", "fosd_dominates",
     "gamma_matrices", "gamma_monotone_report", "gen_example", "is_copositive",

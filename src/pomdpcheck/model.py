@@ -36,21 +36,33 @@ def _readonly(a, dtype=float):
     return a
 
 
+def _belief_rows(points, num_states: int) -> np.ndarray:
+    """Validate belief rows over ``num_states`` states (one belief may be
+    given as a vector): finite entries, none below -ROW_SUM_TOL, each row
+    summing to 1 within ROW_SUM_TOL.  Returns the (N, num_states) array with
+    the rows as given."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != num_states:
+        raise ValueError(f"belief rows have shape {pts.shape}, "
+                         f"need (N, {num_states})")
+    if not np.isfinite(pts).all():
+        raise ValueError("belief entries must be finite")
+    if pts.size and pts.min() < -ROW_SUM_TOL:
+        raise ValueError(f"belief entry {pts.min()} is negative beyond tolerance")
+    totals = pts.sum(axis=1)
+    off = np.abs(totals - 1.0) > ROW_SUM_TOL
+    if off.any():
+        raise ValueError(f"belief sums to {totals[off][0]}, too far from 1")
+    return pts
+
+
 def _belief_array(value, num_states: int) -> np.ndarray:
-    """Validate a belief over ``num_states`` states: finite entries, none
-    below -ROW_SUM_TOL, summing to 1 within ROW_SUM_TOL.  Returns it clipped
+    """Validate one belief vector (see ``_belief_rows``).  Returns it clipped
     at zero and renormalized."""
     p = np.asarray(value, dtype=float)
     if p.shape != (num_states,):
         raise ValueError(f"belief shape {p.shape} != {(num_states,)}")
-    if not np.isfinite(p).all():
-        raise ValueError("belief entries must be finite")
-    if p.min() < -ROW_SUM_TOL:
-        raise ValueError(f"belief entry {p.min()} is negative beyond tolerance")
-    total = p.sum()
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise ValueError(f"belief sums to {total}, too far from 1 to renormalize")
-    p = np.clip(p, 0.0, None)
+    p = np.clip(_belief_rows(p, num_states)[0], 0.0, None)
     return p / p.sum()
 
 
@@ -187,18 +199,6 @@ def capped_resolution(num_states: int, resolution: int, limit: int) -> int:
     return res
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftFeasibility:
-    """Outcome of the strictly-increasing reward-shift search."""
-
-    status: str  # "feasible" | "infeasible" | "numerical_failure"
-    f: np.ndarray | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "feasible"
-
-
 def _shift_rows(m: PomdpModel):
     """Constraint rows: for each action and state i, row v with
     v'f = [(I - rho P(u)) f](i+1) - [(I - rho P(u)) f](i)."""
@@ -236,22 +236,23 @@ def reward_shift_controlled(m: PomdpModel):
     return f, shifted, residual
 
 
-def reward_shift_general(m: PomdpModel) -> ShiftFeasibility:
+def reward_shift_general(m: PomdpModel) -> dict:
     """Search for a state potential f making (I - discount P(u)) f strictly
     increasing for every action, via LP feasibility with margin SHIFT_MARGIN.
 
-    Genuine infeasibility and numerical failure are reported distinctly.
+    Returns the dict ``check`` prints: ``"status"`` (feasible, infeasible or
+    numerical_failure, kept distinct) and the potential ``"f"`` as a list.
     """
     rows = _shift_rows(m)
     if rows.size == 0:
-        return ShiftFeasibility(status="feasible", f=np.zeros(m.num_states))
+        return {"status": "feasible", "f": [0.0] * m.num_states}
     outcome = lp.lp_solve(g_ub=-rows, h_ub=np.full(len(rows), -SHIFT_MARGIN),
                           free=np.ones(m.num_states, dtype=bool))
     if outcome.status == lp.FEASIBLE:
-        return ShiftFeasibility(status="feasible", f=outcome.x)
+        return {"status": "feasible", "f": outcome.x.tolist()}
     if outcome.status == lp.INFEASIBLE:
-        return ShiftFeasibility(status="infeasible")
-    return ShiftFeasibility(status="numerical_failure")
+        return {"status": "infeasible", "f": None}
+    return {"status": "numerical_failure", "f": None}
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ observation matrices, the boundary-column consistency check, and the two
 stochastic-factorization tests (a garbling factor on the right, a mixing
 factor on the left).
 
-Every predicate returns an :class:`OrderVerdict`; failed verdicts carry a
-witness with the indices and values of the violated inequality.  Verdicts
-whose computation rests on an LP can also come back undetermined
-(``holds is None``) when the solver reports numerical failure.  A
+Every predicate returns the JSON-ready dict ``pomdpcheck check`` prints:
+``{"holds": True}``, or ``{"holds": False, "witness": {...}}`` with the
+indices and values (index pairs and points as lists) of the violated
+inequality; a factorization that holds adds its ``"factor"`` as nested
+lists.  LP-backed verdicts come back undetermined (``"holds": None``, with
+a witness) when the solver fails numerically.  A dict is always truthy, so
+``if verdict:`` is always true: test ``verdict["holds"] is True``.  A
 non-finite input entry raises ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -28,24 +30,6 @@ from .model import belief_grid  # noqa: F401
 PAIR_TOL = 1e-12
 COPOSITIVE_MARGIN = 1e-9
 FACTOR_RESIDUAL_TOL = lp.FEAS_TOL
-
-
-@dataclass(frozen=True, eq=False)
-class OrderVerdict:
-    """Outcome of an order predicate.
-
-    ``holds`` is True/False, or None when an LP backend failed numerically.
-    ``witness`` describes the violated inequality (present whenever holds is
-    False); ``factor`` carries the stochastic factor found by the
-    factorization tests.
-    """
-
-    holds: bool | None
-    witness: dict | None = None
-    factor: np.ndarray | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds is True
 
 
 def _vec(value, name="vector") -> np.ndarray:
@@ -66,7 +50,7 @@ def _mat(value, name="matrix") -> np.ndarray:
     return arr
 
 
-def mlr_dominates(pi1, pi2) -> OrderVerdict:
+def mlr_dominates(pi1, pi2) -> dict:
     """Does pi1 dominate pi2 in the monotone likelihood ratio order?
 
     Holds iff pi1[i] * pi2[j] <= pi2[i] * pi1[j] + PAIR_TOL for all i < j.
@@ -80,14 +64,14 @@ def mlr_dominates(pi1, pi2) -> OrderVerdict:
     gap[np.tril_indices(p1.size)] = -np.inf  # only i < j matters
     worst = gap.max()
     if worst <= PAIR_TOL:
-        return OrderVerdict(holds=True)
+        return {"holds": True}
     i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    return OrderVerdict(holds=False, witness={
+    return {"holds": False, "witness": {
         "kind": "mlr", "i": int(i), "j": int(j),
-        "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])})
+        "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}}
 
 
-def fosd_dominates(p1, p2) -> OrderVerdict:
+def fosd_dominates(p1, p2) -> dict:
     """First-order stochastic dominance: every upper tail of p1 weighs at
     least as much as the same tail of p2 (within PAIR_TOL)."""
     a, b = _vec(p1, "p1"), _vec(p2, "p2")
@@ -98,13 +82,13 @@ def fosd_dominates(p1, p2) -> OrderVerdict:
     margins = tail1 - tail2
     j = int(np.argmin(margins))
     if margins[j] >= -PAIR_TOL:
-        return OrderVerdict(holds=True)
-    return OrderVerdict(holds=False, witness={
+        return {"holds": True}
+    return {"holds": False, "witness": {
         "kind": "fosd", "j": j,
-        "tail1": float(tail1[j]), "tail2": float(tail2[j])})
+        "tail1": float(tail1[j]), "tail2": float(tail2[j])}}
 
 
-def is_tp2(matrix) -> OrderVerdict:
+def is_tp2(matrix) -> dict:
     """Total positivity of order two: every 2x2 minor is >= -PAIR_TOL.
 
     Negative entries are rejected outright.
@@ -119,16 +103,16 @@ def is_tp2(matrix) -> OrderVerdict:
     ii, kk = np.triu_indices(n, k=1)
     jj, ll = np.triu_indices(cols, k=1)
     if ii.size == 0 or jj.size == 0:
-        return OrderVerdict(holds=True)
+        return {"holds": True}
     sub = minors[ii[:, None], kk[:, None], jj[None, :], ll[None, :]]
     flat = int(np.argmin(sub))
     r, c = np.unravel_index(flat, sub.shape)
     worst = sub[r, c]
     if worst >= -PAIR_TOL:
-        return OrderVerdict(holds=True)
-    return OrderVerdict(holds=False, witness={
-        "kind": "tp2_minor", "rows": (int(ii[r]), int(kk[r])),
-        "cols": (int(jj[c]), int(ll[c])), "minor": float(worst)})
+        return {"holds": True}
+    return {"holds": False, "witness": {
+        "kind": "tp2_minor", "rows": [int(ii[r]), int(kk[r])],
+        "cols": [int(jj[c]), int(ll[c])], "minor": float(worst)}}
 
 
 def gamma_matrices(p1, p2) -> np.ndarray:
@@ -181,7 +165,7 @@ def _face_stationary_candidates(a: np.ndarray):
             yield point / total
 
 
-def is_copositive(matrix) -> OrderVerdict:
+def is_copositive(matrix) -> dict:
     """Is the quadratic form pi' A pi nonnegative over the whole belief simplex
     (within COPOSITIVE_MARGIN)?
 
@@ -209,25 +193,24 @@ def is_copositive(matrix) -> OrderVerdict:
             best_val, best_pt = value, cand
 
     if best_val >= -COPOSITIVE_MARGIN:
-        return OrderVerdict(holds=True)
-    return OrderVerdict(holds=False, witness={
-        "kind": "copositivity", "point": tuple(float(v) for v in best_pt),
-        "value": best_val})
+        return {"holds": True}
+    return {"holds": False, "witness": {
+        "kind": "copositivity", "point": best_pt.tolist(),
+        "value": best_val}}
 
 
-def copositive_dominates(p1, p2) -> OrderVerdict:
+def copositive_dominates(p1, p2) -> dict:
     """Copositive dominance of transition matrices: every symmetrized
     cross-difference matrix of (p1, p2) must be copositive."""
     for j, gamma in enumerate(gamma_matrices(p1, p2)):
         verdict = is_copositive(gamma)
-        if not verdict.holds:
-            witness = dict(verdict.witness)
-            witness["gamma_index"] = j
-            return OrderVerdict(holds=False, witness=witness)
-    return OrderVerdict(holds=True)
+        if verdict["holds"] is not True:
+            return {"holds": False,
+                    "witness": {**verdict["witness"], "gamma_index": j}}
+    return {"holds": True}
 
 
-def check_a5(b1, b2) -> OrderVerdict:
+def check_a5(b1, b2) -> dict:
     """Row-wise first-order dominance: every row of b2 dominates the matching
     row of b1, i.e. CDF(b1 row) >= CDF(b2 row) columnwise (within PAIR_TOL)."""
     m1, m2 = _mat(b1, "b1"), _mat(b2, "b2")
@@ -236,14 +219,14 @@ def check_a5(b1, b2) -> OrderVerdict:
     gap = np.cumsum(m1, axis=1) - np.cumsum(m2, axis=1)
     i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
     if gap[i, j] >= -PAIR_TOL:
-        return OrderVerdict(holds=True)
-    return OrderVerdict(holds=False, witness={
+        return {"holds": True}
+    return {"holds": False, "witness": {
         "kind": "row_dominance", "row": int(i), "col": int(j),
         "cdf1": float(np.cumsum(m1, axis=1)[i, j]),
-        "cdf2": float(np.cumsum(m2, axis=1)[i, j])})
+        "cdf2": float(np.cumsum(m2, axis=1)[i, j])}}
 
 
-def lehmann_precision(b1, b2) -> OrderVerdict:
+def lehmann_precision(b1, b2) -> dict:
     """Single-crossing precision order: b2 is more precise than b1.
 
     For every pair of column cutoffs (j for b1, l for b2), the sequence
@@ -273,15 +256,15 @@ def lehmann_precision(b1, b2) -> OrderVerdict:
                 if d > PAIR_TOL:
                     seen_positive_at = i
                 elif d < -PAIR_TOL and seen_positive_at is not None:
-                    return OrderVerdict(holds=False, witness={
+                    return {"holds": False, "witness": {
                         "kind": "sign_change", "col1": int(j), "col2": int(l),
                         "row_positive": int(seen_positive_at), "row_negative": int(i),
                         "value_positive": float(diffs[seen_positive_at]),
-                        "value_negative": float(d)})
-    return OrderVerdict(holds=True)
+                        "value_negative": float(d)}}
+    return {"holds": True}
 
 
-def check_a7(b1, b2) -> OrderVerdict:
+def check_a7(b1, b2) -> dict:
     """Boundary-column consistency of an observation-matrix pair.
 
     With b1 in the less-informative role and b2 in the more-informative role,
@@ -298,20 +281,20 @@ def check_a7(b1, b2) -> OrderVerdict:
         lhs = m1[i, 0] * m2[last, 0]
         rhs = m2[i, 0] * m1[last, 0]
         if lhs > rhs + PAIR_TOL:
-            return OrderVerdict(holds=False, witness={
+            return {"holds": False, "witness": {
                 "kind": "boundary_first_col", "row": int(i),
-                "lhs": float(lhs), "rhs": float(rhs)})
+                "lhs": float(lhs), "rhs": float(rhs)}}
         lhs = m1[i, -1] * m2[last, -1]
         rhs = m2[i, -1] * m1[last, -1]
         if lhs < rhs - PAIR_TOL:
-            return OrderVerdict(holds=False, witness={
+            return {"holds": False, "witness": {
                 "kind": "boundary_last_col", "row": int(i),
-                "lhs": float(lhs), "rhs": float(rhs)})
-    return OrderVerdict(holds=True)
+                "lhs": float(lhs), "rhs": float(rhs)}}
+    return {"holds": True}
 
 
 def _solve_factor(product_rows: np.ndarray, product_rhs: np.ndarray,
-                  shape: tuple[int, int], residual_of) -> OrderVerdict:
+                  shape: tuple[int, int], residual_of) -> dict:
     """Feasibility core shared by the two factorization tests.
 
     Finds a row-stochastic matrix of the given shape (flattened row-major in
@@ -324,23 +307,22 @@ def _solve_factor(product_rows: np.ndarray, product_rhs: np.ndarray,
         a_eq=np.vstack([product_rows, sum_rows]),
         b_eq=np.concatenate([product_rhs, np.ones(rows_f)]))
     if outcome.status == lp.INFEASIBLE:
-        return OrderVerdict(holds=False, witness={
+        return {"holds": False, "witness": {
             "kind": "factorization_infeasible",
-            "detail": f"no row-stochastic factor within residual {FACTOR_RESIDUAL_TOL}"})
+            "detail": f"no row-stochastic factor within residual {FACTOR_RESIDUAL_TOL}"}}
     if outcome.status != lp.FEASIBLE:
-        return OrderVerdict(holds=None, witness={"kind": "lp_numerical_failure"})
-    factor = outcome.x.reshape(rows_f, cols_f).copy()
+        return {"holds": None, "witness": {"kind": "lp_numerical_failure"}}
+    factor = outcome.x.reshape(rows_f, cols_f)
     residual = float(residual_of(factor))
     row_defect = float(np.abs(factor.sum(axis=1) - 1.0).max())
     if residual > FACTOR_RESIDUAL_TOL or row_defect > FACTOR_RESIDUAL_TOL:
-        return OrderVerdict(holds=None, witness={
+        return {"holds": None, "witness": {
             "kind": "lp_numerical_failure", "residual": residual,
-            "row_defect": row_defect})
-    factor.setflags(write=False)
-    return OrderVerdict(holds=True, factor=factor)
+            "row_defect": row_defect}}
+    return {"holds": True, "factor": factor.tolist()}
 
 
-def blackwell_dominates(b_high, b_low) -> OrderVerdict:
+def blackwell_dominates(b_high, b_low) -> dict:
     """Is b_low a garbling of b_high?  Holds iff a row-stochastic L exists
     with b_high @ L = b_low (within the residual tolerance).
 
@@ -358,7 +340,7 @@ def blackwell_dominates(b_high, b_low) -> OrderVerdict:
         residual_of=lambda f: np.abs(hi @ f - lo).max())
 
 
-def reverse_factorization(b_low, b_high) -> OrderVerdict:
+def reverse_factorization(b_low, b_high) -> dict:
     """Does a row-stochastic state-mixing factor M exist with
     M @ b_high = b_low (within the residual tolerance)?"""
     lo, hi = _mat(b_low, "b_low"), _mat(b_high, "b_high")

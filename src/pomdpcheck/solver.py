@@ -24,8 +24,8 @@ from math import ceil, log
 
 import numpy as np
 
-from .model import (PomdpModel, _belief_array, _readonly, belief_grid,
-                    capped_resolution)
+from .model import (PomdpModel, _belief_array, _belief_rows, _readonly,
+                    belief_grid, capped_resolution)
 
 PRUNE_EPS = 1e-10
 TIE_TOL = 1e-10
@@ -103,7 +103,7 @@ class _Envelope:
             _belief_array(belief, self.vectors.shape[1])[None, :])[0])
 
     def values_at(self, points) -> np.ndarray:
-        return _best_rows(np.atleast_2d(np.asarray(points, dtype=float)),
+        return _best_rows(_belief_rows(points, self.vectors.shape[1]),
                           self.vectors)[1]
 
 

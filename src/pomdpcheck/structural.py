@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (PomdpModel, _belief_array, belief_grid,
+from .model import (PomdpModel, _belief_array, _belief_rows, belief_grid,
                     reward_shift_general)
-from .orders import (PAIR_TOL, OrderVerdict, blackwell_dominates, check_a5,
-                     check_a7, copositive_dominates, is_tp2, lehmann_precision,
+from .orders import (PAIR_TOL, blackwell_dominates, check_a5, check_a7,
+                     copositive_dominates, is_tp2, lehmann_precision,
                      reverse_factorization)
 from .solver import (TIE_TOL, _lowest_argmax, _mode_or_error, _q_batch,
                      solve_exact, solve_grid)
@@ -50,29 +50,18 @@ PSI_LAMBDA_POINTS = 201
 # Assumption report
 # ---------------------------------------------------------------------------
 
-def _verdict_dict(v: OrderVerdict | None) -> dict | None:
-    if v is None:
-        return None
-    out: dict = {"holds": v.holds}
-    if v.witness is not None:
-        out["witness"] = v.witness
-    if v.factor is not None:
-        out["factor"] = [[float(x) for x in row] for row in v.factor]
-    return out
-
-
 def _all_hold(verdicts) -> bool:
-    return all(v.holds is True for v in verdicts)
+    return all(v["holds"] is True for v in verdicts)
 
 
-def _monotone_rewards(r: np.ndarray) -> OrderVerdict:
+def _monotone_rewards(r: np.ndarray) -> dict:
     diffs = np.diff(r)
     if diffs.size == 0 or diffs.min() >= -PAIR_TOL:
-        return OrderVerdict(holds=True)
+        return {"holds": True}
     i = int(np.argmin(diffs))
-    return OrderVerdict(holds=False, witness={
+    return {"holds": False, "witness": {
         "kind": "reward_decrease", "state": i,
-        "value": float(r[i]), "next": float(r[i + 1])})
+        "value": float(r[i]), "next": float(r[i + 1])}}
 
 
 def assumption_report(m: PomdpModel) -> dict:
@@ -92,7 +81,6 @@ def assumption_report(m: PomdpModel) -> dict:
     """
     pairs = range(m.num_actions - 1)
     a1 = [_monotone_rewards(m.reward[u]) for u in range(m.num_actions)]
-    a1p = reward_shift_general(m)
     a2 = [is_tp2(m.transition[u]) for u in range(m.num_actions)]
     a3 = [is_tp2(m.observation[u]) for u in range(m.num_actions)]
     a4 = [copositive_dominates(m.transition[u], m.transition[u + 1])
@@ -111,7 +99,7 @@ def assumption_report(m: PomdpModel) -> dict:
         notes.append("single action: pairwise checks are vacuous")
     for label, verdicts in (("blackwell", blackwell), ("reverse_factor", reverse)):
         for u, v in enumerate(verdicts):
-            if v.holds is None:
+            if v["holds"] is None:
                 notes.append(f"{label} pair ({u + 1}, {u + 2}): undetermined")
 
     statement1 = bool(m.shared_transition and _all_hold(a2) and _all_hold(a3)
@@ -120,19 +108,16 @@ def assumption_report(m: PomdpModel) -> dict:
                       and _all_hold(a4) and _all_hold(a5) and _all_hold(a6)
                       and _all_hold(a7))
     return {
-        "a1_monotone_rewards": [_verdict_dict(v) for v in a1],
-        "a1_prime_reward_shift": {
-            "status": a1p.status,
-            "f": None if a1p.f is None else [float(x) for x in a1p.f],
-        },
-        "a2_tp2_transition": [_verdict_dict(v) for v in a2],
-        "a3_tp2_observation": [_verdict_dict(v) for v in a3],
-        "a4_copositive_dominance": [_verdict_dict(v) for v in a4],
-        "a5_row_dominance": [_verdict_dict(v) for v in a5],
-        "a6_precision": [_verdict_dict(v) for v in a6],
-        "a7_boundary": [_verdict_dict(v) for v in a7],
-        "blackwell": [_verdict_dict(v) for v in blackwell],
-        "reverse_factor": [_verdict_dict(v) for v in reverse],
+        "a1_monotone_rewards": a1,
+        "a1_prime_reward_shift": reward_shift_general(m),
+        "a2_tp2_transition": a2,
+        "a3_tp2_observation": a3,
+        "a4_copositive_dominance": a4,
+        "a5_row_dominance": a5,
+        "a6_precision": a6,
+        "a7_boundary": a7,
+        "blackwell": blackwell,
+        "reverse_factor": reverse,
         "shared_transition": m.shared_transition,
         "statement1_applicable": statement1,
         "statement2_applicable": statement2,
@@ -326,11 +311,13 @@ def psi_sweep(m: PomdpModel, beliefs, *,
     breakpoints is exhaustive.  A breakpoint of an observation with
     sigma = 0 is parked at lambda = 0, which the grid already holds.
     Returns the minima matrix (num_beliefs, num_pairs), the overall minimum,
-    and the endpoint values psi(0) and psi(1), which must vanish.
+    the per-pair minima and the largest endpoint values |psi(0)| and
+    |psi(1)|, which must vanish.  Belief rows are validated (ValueError on a
+    wrong width, a non-finite or negative entry, or a row sum off 1).
     """
     if not m.shared_transition:
         raise ValueError("psi_sweep requires a shared transition matrix")
-    pts = np.atleast_2d(np.asarray(beliefs, dtype=float))
+    pts = _belief_rows(beliefs, m.num_states)
     tails, sigmas, breaks = _posterior_tails(m, pts)
     num_pairs = m.num_actions - 1
     base = np.broadcast_to(np.linspace(0.0, 1.0, num_lambda),
@@ -353,6 +340,7 @@ def psi_sweep(m: PomdpModel, beliefs, *,
     return {
         "minima": minima,
         "min": float(minima.min()) if minima.size else None,
+        "minima_per_pair": minima.min(axis=0).tolist() if minima.size else [],
         "max_abs_psi_at_0": float(np.abs(end_low).max()) if end_low.size else 0.0,
         "max_abs_psi_at_1": float(np.abs(end_high).max()) if end_high.size else 0.0,
         "num_lambda": int(num_lambda),
@@ -369,10 +357,10 @@ def verify_range_containment(m: PomdpModel, beliefs, u_low: int,
     where either action has none is skipped.  Records each belief where
     min(high tails) > min(low tails) + RANGE_TOL or
     max(high tails) < max(low tails) - RANGE_TOL.  Action indices out of
-    range raise ValueError.
+    range and invalid belief rows raise ValueError.
     """
     _check_action_pair(m, u_low, u_high)
-    pts = np.atleast_2d(np.asarray(beliefs, dtype=float))
+    pts = _belief_rows(beliefs, m.num_states)
     _, sigmas, normalized = _posterior_tails(m, pts)
     pair = [u_low, u_high]
     live = sigmas[:, pair] > 0.0                           # (N, 2, Y)
@@ -475,29 +463,24 @@ def compare_models(m_strong: PomdpModel, m_weak: PomdpModel, *,
     actions = range(m_strong.num_actions)
     hypotheses = {
         "a1_monotone_rewards": [
-            _verdict_dict(_monotone_rewards(m_strong.reward[u])) for u in actions],
-        "a2_tp2_transition": _verdict_dict(is_tp2(m_strong.transition[0])),
+            _monotone_rewards(m_strong.reward[u]) for u in actions],
+        "a2_tp2_transition": is_tp2(m_strong.transition[0]),
         "a3_tp2_observation_strong": [
-            _verdict_dict(is_tp2(m_strong.observation[u])) for u in actions],
+            is_tp2(m_strong.observation[u]) for u in actions],
         "a3_tp2_observation_weak": [
-            _verdict_dict(is_tp2(m_weak.observation[u])) for u in actions],
+            is_tp2(m_weak.observation[u]) for u in actions],
         "a7_boundary": [
-            _verdict_dict(check_a7(m_weak.observation[u], m_strong.observation[u]))
+            check_a7(m_weak.observation[u], m_strong.observation[u])
             for u in actions],
         "precision_strong_over_weak": [
-            _verdict_dict(lehmann_precision(m_weak.observation[u],
-                                            m_strong.observation[u]))
+            lehmann_precision(m_weak.observation[u], m_strong.observation[u])
             for u in actions],
     }
     blackwell = [blackwell_dominates(m_strong.observation[u],
                                      m_weak.observation[u]) for u in actions]
-    flat = []
-    for key in ("a1_monotone_rewards", "a3_tp2_observation_strong",
-                "a3_tp2_observation_weak", "a7_boundary",
-                "precision_strong_over_weak"):
-        flat.extend(hypotheses[key])
-    flat.append(hypotheses["a2_tp2_transition"])
-    hypotheses_hold = all(v["holds"] is True for v in flat)
+    hypotheses_hold = _all_hold(
+        v for section in hypotheses.values()
+        for v in (section if isinstance(section, list) else [section]))
 
     slack = slack_budget(m_strong, residual=residual, horizon=horizon)
     beliefs = belief_grid(m_strong.num_states, resolution)
@@ -513,8 +496,8 @@ def compare_models(m_strong: PomdpModel, m_weak: PomdpModel, *,
     return {
         "hypotheses": hypotheses,
         "hypotheses_hold": hypotheses_hold,
-        "blackwell": [_verdict_dict(v) for v in blackwell],
-        "blackwell_applicable": all(v.holds is True for v in blackwell),
+        "blackwell": blackwell,
+        "blackwell_applicable": _all_hold(blackwell),
         "identical_observations": identical,
         "grid_resolution": int(resolution),
         "num_beliefs": int(beliefs.shape[0]),
@@ -547,8 +530,9 @@ def verification_report(m: PomdpModel, *,
     ``q_diff["predicted"]`` is true, see :func:`verify_q_diff_monotone`),
     ``theorem3`` (null here; see
     compare_models for two-model comparisons), ``theorem5`` (posterior-range
-    containment per pair), ``psi`` (convex-dominance sweep minima, shared
-    transition only), and ``value_shape`` (monotone/convex line checks).
+    containment per pair), ``psi`` (the :func:`psi_sweep` document without
+    its per-belief minima matrix; shared transition only), and
+    ``value_shape`` (monotone/convex line checks).
     Checks whose hypotheses fail still run and report; nothing asserts.
     """
     if residual is None and horizon is None:
@@ -565,15 +549,8 @@ def verification_report(m: PomdpModel, *,
     sampled = rng.dirichlet(np.ones(m.num_states), size=num_psi_beliefs)
     psi_section: dict | None = None
     if m.shared_transition and m.num_actions >= 2:
-        sweep = psi_sweep(m, sampled)
-        psi_section = {
-            "min": sweep["min"],
-            "minima_per_pair": [float(x) for x in sweep["minima"].min(axis=0)],
-            "max_abs_psi_at_0": sweep["max_abs_psi_at_0"],
-            "max_abs_psi_at_1": sweep["max_abs_psi_at_1"],
-            "num_lambda": sweep["num_lambda"],
-            "num_beliefs": sweep["num_beliefs"],
-        }
+        psi_section = psi_sweep(m, sampled)
+        del psi_section["minima"]
     theorem5 = [verify_range_containment(m, sampled, u, u + 1)
                 for u in range(m.num_actions - 1)]
     shape = verify_value_monotone_convex(vf, seed=seed)

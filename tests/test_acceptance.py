@@ -66,10 +66,10 @@ def test_criterion_02_dense_fixture_hypotheses(tmp_path):
 def test_criterion_03_reverse_factorization(reversed_factor_model):
     m = reversed_factor_model
     forward = blackwell_dominates(m.observation[1], m.observation[0])
-    assert forward.holds is False
+    assert forward["holds"] is False
     reverse = reverse_factorization(m.observation[0], m.observation[1])
-    assert reverse.holds is True
-    factor = np.asarray(reverse.factor)
+    assert reverse["holds"] is True
+    factor = np.asarray(reverse["factor"])
     assert factor.min() >= -1e-9
     assert np.abs(factor.sum(axis=1) - 1.0).max() <= 1e-8
     assert np.abs(factor @ m.observation[1] - m.observation[0]).max() <= 1e-8
@@ -211,8 +211,8 @@ def test_criterion_10_order_property_suite():
             other = tilt / tilt.sum()
         else:
             other = rng.dirichlet(np.ones(n))
-        if mlr_dominates(other, base).holds:
-            if not fosd_dominates(other, base).holds:
+        if mlr_dominates(other, base)["holds"]:
+            if not fosd_dominates(other, base)["holds"]:
                 failures.append(("mlr-fosd", k))
 
     # TP2 by minors equals likelihood-ratio ordering of every row pair
@@ -220,7 +220,7 @@ def test_criterion_10_order_property_suite():
         rows, cols = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         mat = random_stochastic(rng, rows, cols,
                                 zero_prob=0.3 if k % 3 == 0 else 0.0)
-        by_minors = is_tp2(mat).holds
+        by_minors = is_tp2(mat)["holds"]
         by_rows = all(mlr_oracle(mat[j], mat[i], tol=1e-12)
                       for i in range(rows) for j in range(i + 1, rows))
         if by_minors != by_rows:
@@ -236,7 +236,7 @@ def test_criterion_10_order_property_suite():
         q = (q + q.T) / 2.0
         closed = (copositive2_closed_form(q) if n == 2
                   else copositive3_closed_form(q))
-        lib = is_copositive(q).holds
+        lib = is_copositive(q)["holds"]
         if lib != closed:
             failures.append(("copositive-closed", k))
         if k % 10 == 0:
@@ -253,10 +253,10 @@ def test_criterion_10_order_property_suite():
         b_high = random_stochastic(rng, states, obs)
         b_low = b_high @ random_stochastic(rng, obs, obs)
         verdict = blackwell_dominates(b_high, b_low)
-        if verdict.holds is not True:
+        if verdict["holds"] is not True:
             failures.append(("blackwell-detect", k))
             continue
-        factor = np.asarray(verdict.factor)
+        factor = np.asarray(verdict["factor"])
         if np.abs(b_high @ factor - b_low).max() > 1e-8:
             failures.append(("blackwell-residual", k))
         if factor.min() < -1e-9 or np.abs(factor.sum(1) - 1).max() > 1e-8:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from pomdpcheck import (assumption_report, gamma_matrices, gen_example,
-                        list_examples, make_model, model_to_json, save_model)
+                        list_examples, loads_model, make_model, model_to_json,
+                        save_model)
 from pomdpcheck.cli import _emit, main
 
 from oracles import copositive_kaplan_oracle
@@ -85,14 +86,25 @@ def test_non_stochastic_model_exits_two(capsys, tmp_path, argv):
     assert all(v in captured.err for v in violations)
 
 
-@pytest.mark.parametrize("name", list_examples())
+def _tp2_witness_model():
+    """Two states whose kernels fail TP2, so the report carries witnesses."""
+    return make_model(
+        name="tp2_witness", discount=0.9,
+        transition=[[[0.2, 0.8], [0.9, 0.1]], [[0.5, 0.5], [0.3, 0.7]]],
+        observation=[[[0.7, 0.3], [0.2, 0.8]], [[0.9, 0.1], [0.1, 0.9]]],
+        reward=[[1.0, 2.0], [2.5, 0.5]])
+
+
+@pytest.mark.parametrize("name", [*list_examples(), "tp2_witness"])
 def test_check_prints_the_assumption_report(capsys, tmp_path, name):
-    m = gen_example(name)
+    m = _tp2_witness_model() if name == "tp2_witness" else gen_example(name)
     path = tmp_path / "model.json"
     save_model(m, path)
     code, doc = run_json(capsys, ["check", str(path)])
     assert code == 0
-    assert doc == {"model": m.name, **assumption_report(m)}
+    report = assumption_report(m)
+    assert json.loads(json.dumps(report)) == report
+    assert doc == {"model": m.name, **report}
 
 
 def test_check_reports_hypotheses(capsys, ex1_path):
@@ -342,3 +354,11 @@ def test_readme_entry_points_are_exported():
     missing = [n for n in names if n not in pomdpcheck.__all__]
     assert missing == []
     assert all(callable(getattr(pomdpcheck, n)) for n in names)
+
+
+def test_readme_model_format_block_loads_ex1():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Model JSON format"):]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert model_to_json(loads_model(block)) == \
+        model_to_json(gen_example("ex1"))

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from pomdpcheck import (ModelFormatError, belief_grid, gen_example,
                         load_model, loads_model, make_model, model_to_json,
-                        reward_shift_controlled, reward_shift_general,
-                        save_model, validate_model)
-from pomdpcheck.model import _belief_array
+                        psi_sweep, reward_shift_controlled,
+                        reward_shift_general, save_model, solve_grid,
+                        validate_model, verify_range_containment)
+from pomdpcheck.model import _belief_array, _belief_rows
 from pomdpcheck.structural import _posterior_tails
 
 from oracles import compositions_oracle, random_model
@@ -67,7 +68,7 @@ def test_bundled_examples_validate_clean():
         assert validate_model(gen_example(name)) == []
 
 
-def test_belief_validation():
+def test_belief_validation(ex1):
     b = _belief_array([0.2, 0.3, 0.5], 3)
     assert b.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
@@ -78,6 +79,25 @@ def test_belief_validation():
         _belief_array(np.array([np.nan, 1.0]), 2)
     with pytest.raises(ValueError):
         _belief_array([0.2, 0.3, 0.5], 2)            # wrong length
+    rows = np.array([[0.2, 0.3, 0.5], [-1e-10, 0.5, 0.5 + 1e-10]])
+    assert _belief_rows(rows, 3) is rows             # used as given
+    assert _belief_rows([0.2, 0.3, 0.5], 3).shape == (1, 3)
+    for bad, match in (([[0.5, 0.5]], "shape"),
+                       ([[[0.2, 0.3, 0.5]]], "shape"),
+                       ([[np.nan, 0.5, 0.5]], "finite"),
+                       ([[np.inf, 0.5, 0.5]], "finite"),
+                       ([[3.0, -1.0, -1.0]], "negative"),
+                       ([[0.2, 0.3, 0.5], [5.0, 5.0, 5.0]], "sums")):
+        with pytest.raises(ValueError, match=match):
+            _belief_rows(bad, 3)
+    # every library entry point that takes belief rows checks them
+    with pytest.raises(ValueError, match="finite"):
+        psi_sweep(ex1, [[np.nan, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="negative"):
+        verify_range_containment(ex1, [[3.0, -1.0, -1.0]], 0, 1)
+    vf = solve_grid(ex1, resolution=10, horizon=20)
+    with pytest.raises(ValueError, match="sums"):
+        vf.values_at([[5.0, 5.0, 5.0]])
 
 
 def test_belief_grid_size_and_cache():
@@ -136,8 +156,8 @@ def test_reward_shift_controlled_requires_shared_transition():
 
 def test_reward_shift_general_feasible_on_bundled():
     shift = reward_shift_general(gen_example("ex1"))
-    assert shift.feasible
-    assert shift.f is not None
+    assert shift["status"] == "feasible"
+    assert shift["f"] is not None
 
 
 # ---------------------------------------------------------------------------

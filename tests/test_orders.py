@@ -28,8 +28,8 @@ def positive_vectors(n):
 @settings(max_examples=200, deadline=None)
 @given(positive_vectors(4), positive_vectors(4))
 def test_mlr_and_fosd_match_their_definitions(p1, p2):
-    assert mlr_dominates(p1, p2).holds == mlr_oracle(p1, p2, tol=1e-12)
-    assert fosd_dominates(p1, p2).holds == fosd_oracle(p1, p2, tol=1e-12)
+    assert mlr_dominates(p1, p2)["holds"] == mlr_oracle(p1, p2, tol=1e-12)
+    assert fosd_dominates(p1, p2)["holds"] == fosd_oracle(p1, p2, tol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -38,27 +38,27 @@ def test_mlr_implies_fosd(base, slope):
     # tilting by an increasing positive factor produces an MLR-larger vector
     tilt = base * np.exp(slope * np.arange(5))
     tilted = tilt / tilt.sum()
-    assert mlr_dominates(tilted, base).holds
-    assert fosd_dominates(tilted, base).holds
+    assert mlr_dominates(tilted, base)["holds"]
+    assert fosd_dominates(tilted, base)["holds"]
 
 
 def test_mlr_witness_identifies_violating_pair():
     v = mlr_dominates([0.5, 0.5, 0.0], [0.0, 0.5, 0.5])
-    assert not v.holds
+    assert not v["holds"]
     v = mlr_dominates([0.0, 0.5, 0.5], [0.5, 0.5, 0.0])
-    assert v.holds
+    assert v["holds"]
     # a genuine violation carries a witness index pair
     bad = mlr_dominates([0.6, 0.1, 0.3], [0.1, 0.6, 0.3])
-    assert not bad.holds and bad.witness is not None
+    assert not bad["holds"] and bad["witness"] is not None
 
 
 def test_fosd_not_sufficient_for_mlr():
     p_high = np.array([0.30, 0.05, 0.65])
     p_low = np.array([0.40, 0.10, 0.50])
     assert fosd_oracle(p_high, p_low)
-    assert fosd_dominates(p_high, p_low).holds
+    assert fosd_dominates(p_high, p_low)["holds"]
     assert not mlr_oracle(p_high, p_low)
-    assert not mlr_dominates(p_high, p_low).holds
+    assert not mlr_dominates(p_high, p_low)["holds"]
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_fosd_not_sufficient_for_mlr():
 def test_is_tp2_matches_all_minor_enumeration(seed, rows, cols, sparse):
     rng = np.random.default_rng(seed)
     mat = random_stochastic(rng, rows, cols, zero_prob=0.4 if sparse else 0.0)
-    assert is_tp2(mat).holds == tp2_oracle(mat, tol=1e-12)
+    assert is_tp2(mat)["holds"] == tp2_oracle(mat, tol=1e-12)
 
 
 def test_tp2_equals_rowwise_mlr_ordering():
@@ -79,7 +79,7 @@ def test_tp2_equals_rowwise_mlr_ordering():
     agree = 0
     for _ in range(500):
         mat = random_stochastic(rng, 3, 4, zero_prob=0.3)
-        by_minors = is_tp2(mat).holds
+        by_minors = is_tp2(mat)["holds"]
         by_rows = all(mlr_oracle(mat[j], mat[i], tol=1e-12)
                       for i in range(3) for j in range(i + 1, 3))
         assert by_minors == by_rows
@@ -96,8 +96,8 @@ def test_bundled_kernels_are_tp2():
     for name in ("ex1", "ex2", "hierarchical", "tridiagonal"):
         m = gen_example(name)
         for u in range(m.num_actions):
-            assert is_tp2(m.transition[u]).holds
-            assert is_tp2(m.observation[u]).holds
+            assert is_tp2(m.transition[u])["holds"]
+            assert is_tp2(m.observation[u])["holds"]
 
 
 _ROW = np.array([0.2, 0.3, 0.5])
@@ -132,13 +132,13 @@ def test_predicates_reject_non_finite_entries(name):
 # ---------------------------------------------------------------------------
 
 def test_copositive_small_closed_forms():
-    assert is_copositive(np.array([[1.0]])).holds
-    assert not is_copositive(np.array([[-1e-6]])).holds
+    assert is_copositive(np.array([[1.0]]))["holds"]
+    assert not is_copositive(np.array([[-1e-6]]))["holds"]
     # classic: positive diagonal, off-diagonal below -sqrt(ac)
     q = np.array([[1.0, -1.1], [-1.1, 1.0]])
-    assert not is_copositive(q).holds
+    assert not is_copositive(q)["holds"]
     q = np.array([[1.0, -0.9], [-0.9, 1.0]])
-    assert is_copositive(q).holds
+    assert is_copositive(q)["holds"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,7 +149,7 @@ def test_copositive_agrees_with_closed_forms(seed, n):
     q = (q + q.T) / 2.0
     expected = (copositive2_closed_form(q) if n == 2
                 else copositive3_closed_form(q))
-    assert is_copositive(q).holds == expected
+    assert is_copositive(q)["holds"] == expected
 
 
 def test_copositive_verdict_consistent_with_grid_certificate():
@@ -159,7 +159,7 @@ def test_copositive_verdict_consistent_with_grid_certificate():
         q = rng.uniform(-1.0, 1.0, (n, n))
         q = (q + q.T) / 2.0
         gmin = copositive_grid_oracle(q, 150)
-        verdict = is_copositive(q).holds
+        verdict = is_copositive(q)["holds"]
         if verdict:
             assert gmin >= -1e-9     # grid min can never undershoot a
         else:                        # nonnegative true minimum
@@ -206,13 +206,13 @@ def test_copositive_matches_kaplan_oracle():
     for q in cases:
         expected = copositive_kaplan_oracle(q)
         verdict = is_copositive(q)
-        assert verdict.holds == expected
+        assert verdict["holds"] == expected
         if not expected:
-            point = np.array(verdict.witness["point"])
+            point = np.array(verdict["witness"]["point"])
             assert point.min() >= 0.0 and abs(point.sum() - 1.0) <= 1e-12
             assert point @ q @ point == pytest.approx(
-                verdict.witness["value"], abs=1e-12)
-            assert verdict.witness["value"] < -1e-9
+                verdict["witness"]["value"], abs=1e-12)
+            assert verdict["witness"]["value"] < -1e-9
         verdicts.append(expected)
     assert 0.25 * len(cases) < sum(verdicts) < 0.75 * len(cases)
 
@@ -220,7 +220,7 @@ def test_copositive_matches_kaplan_oracle():
 def test_shared_transition_gives_trivial_copositive_dominance():
     m = gen_example("ex1")
     verdict = copositive_dominates(m.transition[0], m.transition[1])
-    assert verdict.holds
+    assert verdict["holds"]
     gammas = gamma_matrices(m.transition[0], m.transition[1])
     for g in gammas:
         assert np.allclose(g, 0.0)   # symmetrized differences cancel exactly
@@ -232,8 +232,8 @@ def test_shared_transition_gives_trivial_copositive_dominance():
 
 def test_a5_direction_on_fixtures():
     ex1, ex2 = gen_example("ex1"), gen_example("ex2")
-    assert not check_a5(ex1.observation[0], ex1.observation[1]).holds
-    assert check_a5(ex2.observation[0], ex2.observation[1]).holds
+    assert not check_a5(ex1.observation[0], ex1.observation[1])["holds"]
+    assert check_a5(ex2.observation[0], ex2.observation[1])["holds"]
 
 
 def test_a5_matches_rowwise_fosd():
@@ -242,32 +242,32 @@ def test_a5_matches_rowwise_fosd():
         b1 = random_stochastic(rng, 3, 3)
         b2 = random_stochastic(rng, 3, 3)
         expected = all(fosd_oracle(b2[i], b1[i], tol=1e-12) for i in range(3))
-        assert check_a5(b1, b2).holds == expected
+        assert check_a5(b1, b2)["holds"] == expected
 
 
 def test_lehmann_precision_on_fixtures():
     for name in ("ex1", "ex2", "tridiagonal"):
         m = gen_example(name)
-        assert lehmann_precision(m.observation[0], m.observation[1]).holds
+        assert lehmann_precision(m.observation[0], m.observation[1])["holds"]
     # an identity sensor is more precise than an uninformative one, and the
     # reversed roles produce a sign crossing
     identity = np.eye(3)
     uniform = np.full((3, 3), 1.0 / 3.0)
-    assert lehmann_precision(uniform, identity).holds
+    assert lehmann_precision(uniform, identity)["holds"]
     reversed_roles = lehmann_precision(identity, uniform)
-    assert reversed_roles.holds is False
-    assert reversed_roles.witness["kind"] == "sign_change"
+    assert reversed_roles["holds"] is False
+    assert reversed_roles["witness"]["kind"] == "sign_change"
 
 
 def test_lehmann_precision_reflexive():
     m = gen_example("ex1")
-    assert lehmann_precision(m.observation[0], m.observation[0]).holds
+    assert lehmann_precision(m.observation[0], m.observation[0])["holds"]
 
 
 def test_a7_on_fixtures():
     for name in ("ex1", "ex2", "tridiagonal"):
         m = gen_example(name)
-        assert check_a7(m.observation[0], m.observation[1]).holds
+        assert check_a7(m.observation[0], m.observation[1])["holds"]
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +282,8 @@ def test_blackwell_detects_constructed_garbling(seed, states, obs):
     garble = random_stochastic(rng, obs, obs)
     b_low = b_high @ garble
     verdict = blackwell_dominates(b_high, b_low)
-    assert verdict.holds
-    factor = np.asarray(verdict.factor)
+    assert verdict["holds"]
+    factor = np.asarray(verdict["factor"])
     assert factor.min() >= -1e-9
     assert np.allclose(factor.sum(axis=1), 1.0, atol=1e-8)
     assert np.abs(b_high @ factor - b_low).max() <= 1e-8
@@ -297,21 +297,21 @@ def test_reverse_factorization_detects_state_mixing(seed, states):
     mix = random_stochastic(rng, states, states)
     b_low = mix @ b_high
     verdict = reverse_factorization(b_low, b_high)
-    assert verdict.holds
-    factor = np.asarray(verdict.factor)
+    assert verdict["holds"]
+    factor = np.asarray(verdict["factor"])
     assert np.abs(factor @ b_high - b_low).max() <= 1e-8
 
 
 def test_blackwell_fails_on_bundled_pairs():
     for name in ("ex1", "ex2", "reversed_factor"):
         m = gen_example(name)
-        assert blackwell_dominates(m.observation[1], m.observation[0]).holds \
-            is False
+        verdict = blackwell_dominates(m.observation[1], m.observation[0])
+        assert verdict["holds"] is False
 
 
 def test_reversed_factor_fixture_has_reverse_but_not_forward():
     m = gen_example("reversed_factor")
     forward = blackwell_dominates(m.observation[1], m.observation[0])
     reverse = reverse_factorization(m.observation[0], m.observation[1])
-    assert forward.holds is False
-    assert reverse.holds is True
+    assert forward["holds"] is False
+    assert reverse["holds"] is True
