@@ -7,9 +7,11 @@ barycentric grid point; it is both a standalone lower-bound solver and the
 warm start for the exact solver's residual mode.
 
 Every envelope evaluation (grid backup, Q-values, values at points, the
-pruner's top-two test) scores beliefs against all vectors in blocks of 128
-through :func:`_score_blocks`, so no beliefs x vectors matrix is built, and
-the Q that verification measures is bit for bit the grid backup's.
+pruner's top-two test) scores beliefs against all vectors through
+:func:`_score_blocks`, in blocks of at most 128 beliefs, fewer when there are
+many vectors, so each product stays on one BLAS thread.  No beliefs x vectors
+matrix is built, and the Q that verification measures is bit for bit the
+grid backup's.
 
 Pruning relies on a batched game-value LP: the margin of a candidate vector
 against a reference set is the value of a matrix game whose rows are states
@@ -36,10 +38,17 @@ EXACT_MAX_ITER = 100_000  # margin LPs resolve a residual only to about 1e-9
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _NO_ROW = np.iinfo(np.int64).max  # tie-break filler: never the smallest basis index
-_POINT_BLOCK = 128  # beliefs per score block, cache-sized
+_POINT_BLOCK = 128  # most beliefs per score block
+# Multiply-adds per score block.  OpenBLAS 0.3.31 splits a GEMM over two
+# threads once m*n*k >= 2**19 (measured: 524 160 ran on one thread, 524 544
+# on two); for products this small the second thread mostly waits, so blocks
+# stay at half that threshold, on one thread and cache-sized.
+_GEMM_BUDGET = 2**18
 # Tableau bytes per margin-LP batch.  Each simplex sweep makes a few
-# temporaries of the tableau's size; kept cache-sized they reuse freed memory
-# instead of being mapped and faulted in afresh on every sweep.
+# temporaries of the tableau's size, and at 2 MB glibc still maps and faults
+# them in afresh: `solve ex1 --method exact --horizon 11` takes 54.8 k minor
+# faults.  120 KB batches took 21.2 k faults but ran 1.17-1.50 s against
+# 1.03-1.25 s (2-core box), so the batches stay at 2 MB.
 _LP_BATCH_BYTES = 2_000_000
 
 
@@ -53,13 +62,16 @@ class CapacityError(RuntimeError):
 
 def _score_blocks(points: np.ndarray, rows: np.ndarray):
     """Yield (start, points[start:start + b] @ rows.T) for blocks of at most
-    _POINT_BLOCK points, each written over the last in one buffer allocated
+    _POINT_BLOCK points, fewer when there are many rows, so that each
+    product makes at most _GEMM_BUDGET multiply-adds and stays on one BLAS
+    thread.  Each block is written over the last in one buffer allocated
     per call: fresh blocks past the mmap threshold are mapped and faulted
     in anew, which can cost as much as the products."""
     num_points, num_rows = points.shape[0], rows.shape[0]
-    work = np.empty(min(_POINT_BLOCK, num_points) * num_rows)
-    for start in range(0, num_points, _POINT_BLOCK):
-        stop = min(start + _POINT_BLOCK, num_points)
+    block = max(1, min(_POINT_BLOCK, _GEMM_BUDGET // max(1, rows.size)))
+    work = np.empty(min(block, num_points) * num_rows)
+    for start in range(0, num_points, block):
+        stop = min(start + block, num_points)
         scores = work[:(stop - start) * num_rows].reshape(stop - start, num_rows)
         np.matmul(points[start:stop], rows.T, out=scores)
         yield start, scores
@@ -580,6 +592,22 @@ def _residual_sweeps(m: PomdpModel, residual: float) -> int:
     return max(1, ceil(log(residual / rmax) / log(m.discount)))
 
 
+def _unique_rows(rows: np.ndarray):
+    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)``
+    with a flat inverse: the distinct rows in lexicographic order, the first
+    index of each, and each row's position among them.  A stable lexsort
+    and a row-difference mask do the work, so -0.0 and 0.0 compare equal
+    and each distinct row is its first occurrence, as in ``np.unique``."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.empty(rows.shape[0], dtype=bool)
+    first[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], order[first], inverse
+
+
 def solve_grid(m: PomdpModel, *, resolution: int = 100,
                horizon: int | None = None,
                residual: float | None = None) -> GridVF:
@@ -608,9 +636,7 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
     for _ in range(sweeps):
         new_values, alphas, acts = _grid_backup(m, vectors, beliefs)
         history.append(float(np.abs(new_values - values).max()))
-        vectors, first_idx, point_vector = np.unique(
-            alphas, axis=0, return_index=True, return_inverse=True)
-        point_vector = point_vector.reshape(-1)
+        vectors, first_idx, point_vector = _unique_rows(alphas)
         actions = acts[first_idx]
         values = new_values
     return GridVF(beliefs=beliefs, values=values, vectors=vectors,

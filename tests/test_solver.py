@@ -12,9 +12,10 @@ from pomdpcheck import (CapacityError, belief_grid, gen_example,
                         solve_exact, solve_grid, vf_to_dict)
 from pomdpcheck import solver
 from pomdpcheck.cli import main
-from pomdpcheck.solver import (_POINT_BLOCK, ExactVF, _batch_margins,
-                               _grid_backup, _lowest_argmax, _q_batch,
-                               _residual_sweeps, _streaming_top2)
+from pomdpcheck.solver import (_GEMM_BUDGET, _POINT_BLOCK, ExactVF,
+                               _batch_margins, _best_rows, _grid_backup,
+                               _lowest_argmax, _q_batch, _residual_sweeps,
+                               _streaming_top2, _unique_rows)
 
 from oracles import (envelope_on_grid, expectimax_value, game_margin_oracle,
                      point_backup_q, random_belief, random_model,
@@ -176,19 +177,36 @@ def test_batch_margin_lanes_are_independent(monkeypatch):
 def test_streaming_top2_matches_sort_oracle():
     # Integer rows and beliefs in steps of 1/64 make every product exact,
     # so blockwise and whole-matrix products agree bit for bit.  300 points
-    # span three score blocks; 40 fit in one.
+    # span three score blocks; 40 fit in one.  2000 rows shrink the block to
+    # 43 points, leaving a 42-point tail; every other winning row repeats
+    # after the originals, so ties must break to the lowest index in every
+    # block.
     rng = np.random.default_rng(34)
     eps = 1e-10
-    for num_points, num_rows in ((300, 50), (40, 50), (300, 1)):
+    for num_points, num_rows in ((300, 50), (40, 50), (300, 1), (300, 2000)):
         points = rng.multinomial(64, np.ones(3) / 3, size=num_points) / 64.0
         rows = rng.integers(-1000, 1000, (num_rows, 3)).astype(float)
+        if num_rows == 2000:
+            assert _GEMM_BUDGET // (num_rows * 3) == 43
+            winners = np.unique(np.argmax(points @ rows[:1500].T, axis=1))
+            losers = np.setdiff1d(np.arange(1500), winners)
+            rows[1500:] = rows[np.concatenate([
+                winners[::2], rng.choice(losers, 500 - winners[::2].size)])]
         idx, top, second = _streaming_top2(rows, points)
         want_top, want_second = top2_sort_oracle(rows, points)
         assert np.array_equal(top, want_top)
         assert np.array_equal(second, want_second)
-        assert np.array_equal(top, (points @ rows.T)[np.arange(num_points), idx])
+        scores = points @ rows.T
+        assert np.array_equal(top, scores[np.arange(num_points), idx])
+        best_idx, best_val = _best_rows(points, rows)
+        assert np.array_equal(best_idx, np.argmax(scores, axis=1))
+        assert np.array_equal(idx, best_idx)
+        assert np.array_equal(best_val, top)
         if num_rows == 1:
             assert (second == -np.inf).all() and (idx == 0).all()
+        if num_rows == 2000:
+            tied = second == top
+            assert tied.any() and not tied.all()
 
     # Every row twice: the runner-up equals the top, so no gap exceeds eps
     # and no index is trusted.
@@ -197,6 +215,68 @@ def test_streaming_top2_matches_sort_oracle():
     assert np.array_equal(second, top)
     assert not (top - second > eps).any()
     assert np.array_equal(top, top2_sort_oracle(rows, points)[0])
+
+
+def test_envelope_products_stay_within_the_gemm_budget(monkeypatch):
+    # OpenBLAS runs a product of 2**19 multiply-adds or more on two
+    # threads; every envelope product must stay below _GEMM_BUDGET unless
+    # its block is already a single point.
+    class Products:
+        """Stands in for NumPy in the solver and records the operand shapes
+        of every matmul."""
+
+        def __init__(self):
+            self.shapes = []
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b, **kwargs):
+            self.shapes.append((a.shape, b.shape))
+            return np.matmul(a, b, **kwargs)
+
+    rng = np.random.default_rng(35)
+    spy = Products()
+    monkeypatch.setattr(solver, "np", spy)
+    for num_states, resolution in ((3, 20), (5, 6)):
+        m = random_model(rng, num_states, 2, 2)
+        points = belief_grid(num_states, resolution)
+        for num_rows in (50, 700, 5000):
+            rows = rng.uniform(-1.0, 1.0, (num_rows, num_states))
+            _best_rows(points, rows)
+            _streaming_top2(rows, points)
+            _q_batch(m, rows, points)
+            _grid_backup(m, rows, points)
+        solve_grid(random_model(rng, num_states, 3, 3),
+                   resolution=resolution, horizon=3)
+    monkeypatch.undo()
+
+    assert spy.shapes
+    for (m_, k), (k2, n) in spy.shapes:
+        assert k == k2
+        assert m_ * k * n <= _GEMM_BUDGET or m_ == 1, (m_, k, n)
+    # 5000 rows at five states leave ten points per block
+    assert ((10, 5), (5, 5000)) in spy.shapes
+
+
+def test_unique_rows_is_numpy_unique():
+    # np.unique treats -0.0 and 0.0 as equal and keeps each distinct row's
+    # first occurrence, sign of zero included.
+    rng = np.random.default_rng(36)
+    cases = [rng.uniform(size=(1, 3))]
+    for num_states in (1, 3, 5):
+        rows = rng.integers(-2, 3, (400, num_states)).astype(float)
+        rows[rng.random(rows.shape) < 0.3] *= -1.0
+        cases.append(rows)
+    assert (np.signbit(rows) & (rows == 0.0)).any()
+    for rows in cases:
+        want = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        for got, expected in zip(_unique_rows(rows), want):
+            expected = expected.reshape(got.shape)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert want[0].shape[0] < rows.shape[0]
 
 
 def test_prune_drops_strictly_dominated_and_duplicate_pieces():
