@@ -3,8 +3,8 @@
 The exact solver represents each value function as the upper envelope of a
 set of alpha vectors, backed up per (action, observation) with cross-sums
 and incremental pruning.  The grid solver keeps one backed-up vector per
-barycentric grid point; it is both a standalone lower-bound solver and the
-warm start for the exact solver's residual mode.
+barycentric grid point; it is both a standalone lower-bound solver and,
+on a coarse grid, the warm start for the exact solver's residual mode.
 
 Every envelope evaluation (grid backup, Q-values, values at points, the
 pruner's top-two test) scores beliefs against all vectors through
@@ -34,6 +34,7 @@ TIE_TOL = 1e-10
 GAMMA_TOL = 1e-10
 CROSS_SUM_CAP = 100_000
 EXACT_MAX_ITER = 100_000  # margin LPs resolve a residual only to about 1e-9
+_WARM_START_RESOLUTION = 20  # grid of the exact residual mode's warm start
 
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-11
@@ -46,9 +47,12 @@ _POINT_BLOCK = 128  # most beliefs per score block
 _GEMM_BUDGET = 2**18
 # Tableau bytes per margin-LP batch.  Each simplex sweep makes a few
 # temporaries of the tableau's size, and at 2 MB glibc still maps and faults
-# them in afresh: `solve ex1 --method exact --horizon 11` takes 54.8 k minor
-# faults.  120 KB batches took 21.2 k faults but ran 1.17-1.50 s against
-# 1.03-1.25 s (2-core box), so the batches stay at 2 MB.
+# them in afresh: `solve ex1 --method exact --horizon 11` takes 49.5 k minor
+# faults inside `cli.main`.  120 KB batches took 14.3 k faults but ran
+# 0.90-0.94 s against 0.85 s (2-core box, three runs each), so the batches
+# stay at 2 MB.  A workspace reused across sweeps cut the faults to 14.8 k
+# and system time by 0.08 s, but its wall time could not be told apart from
+# this code's and its peak RSS was 1.5 MB higher, so there is none.
 _LP_BATCH_BYTES = 2_000_000
 
 
@@ -284,13 +288,21 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     by more than eps.  Stages: exact dedupe; grid-argmax certification of
     clear winners (a vector beating every rival by > eps at a grid point
     stays regardless of what else is removed); then rounds over the
-    remaining pool, each dropping candidates that lie within eps of one
-    certified vector at every coordinate (pointwise dominance, without an
-    LP) and running batched margin LPs against the certified set, removing
-    candidates whose margin is already <= eps and certifying winners whose
-    witness belief separates them from every live rival.  Vectors admitted
-    only by the forced-progress fallback are re-tested against the final
-    set.
+    remaining pool.  Each round drops candidates that lie within eps of one
+    admitted vector at every coordinate (pointwise dominance, without an
+    LP), runs batched margin LPs against the admitted set R and drops
+    candidates whose margin is already <= eps.  At each survivor's witness
+    belief it then admits the winner, the alive vector scoring highest
+    there (lowest index among ties), whether or not that is the survivor
+    (the filter of Lark and White; White, Ann. Oper. Res. 1991).  A winner
+    beating every other alive vector there by more than eps is certified,
+    as on the grid; a near-tied winner is admitted as forced.  R only
+    grows, so every drop against it stays sound.  If a round drops nothing
+    and every winner is already in R, which happens when a survivor's LP
+    margin is above eps while an admitted vector wins at its witness (the
+    LP resolves margins only to about 1e-9), the survivor of largest
+    margin is forced in.  Every forced vector is re-tested against the
+    final set.
     """
     n_input = cands.shape[0]
     if n_input <= 1:
@@ -366,18 +378,19 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
                 survivors.append(idx)
                 surv_pos.append(pos)
 
-        certified_now: set[int] = set()
         if survivors:
             alive = np.flatnonzero(~removed)
             w_idx, w_val, w_sec = _streaming_top2(
                 cands_u[alive], witnesses[surv_pos])
-            for t, cand_id in enumerate(survivors):
-                if int(alive[w_idx[t]]) == cand_id and w_val[t] - w_sec[t] > eps:
-                    in_r[cand_id] = True
-                    certified_now.add(cand_id)
-                    progress = True
+            winners = alive[w_idx]
+            new = np.unique(winners[~in_r[winners]])
+            in_r[winners[w_val - w_sec > eps]] = True
+            tied = new[~in_r[new]]
+            in_r[tied] = True
+            forced.extend(tied.tolist())
+            progress = progress or new.size > 0
 
-        pool = [idx for idx in survivors if idx not in certified_now]
+        pool = [idx for idx in survivors if not in_r[idx]]
 
         if pool and not progress:
             t_best = int(np.argmax(margins[surv_pos]))
@@ -482,13 +495,15 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
 
     Horizon mode starts from the zero value function and performs exactly
     ``horizon`` backups.  Residual mode warm-starts from a grid solve of
-    the same stop rule, which runs a fixed sweep count and so cannot fail
-    (sound: the stopping rule depends only on the distance between
-    consecutive exact iterates, not on the starting point) and stops when
-    both the LP-certified sup-norm change and the grid-measured change drop
-    to ``residual`` or below, raising ArithmeticError after EXACT_MAX_ITER
-    backups.  Raises CapacityError when a cross-sum would exceed ``cap``
-    vectors, in which case the grid solver is the practical alternative.
+    the same stop rule on a coarse grid (resolution 20, capped at 20 000
+    points), which runs a fixed sweep count and so cannot fail (sound: the
+    stopping rule depends only on the distance between consecutive exact
+    iterates, not on the starting point), and stops when both the
+    LP-certified sup-norm change and the change measured on the
+    ``resolution`` grid drop to ``residual`` or below, raising
+    ArithmeticError after EXACT_MAX_ITER backups.  Raises CapacityError
+    when a cross-sum would exceed ``cap`` vectors, in which case the grid
+    solver is the practical alternative.
     """
     _mode_or_error(horizon, residual)
     grid_res = capped_resolution(m.num_states, resolution, 20_000)
@@ -497,7 +512,8 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
                      actions=np.zeros(1, dtype=int), horizon=0)
         steps = int(horizon)
     else:
-        seed = solve_grid(m, resolution=grid_res, residual=residual)
+        seed = solve_grid(m, residual=residual, resolution=capped_resolution(
+            m.num_states, _WARM_START_RESOLUTION, 20_000))
         kept = _prune_arrays(seed.vectors, PRUNE_EPS)
         vf = ExactVF(vectors=seed.vectors[kept], actions=seed.actions[kept],
                      horizon=0)

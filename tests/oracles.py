@@ -1,10 +1,11 @@
 """Independent oracles for the test suite.
 
-Everything in this module is deliberately naive: recursion instead of
-dynamic programming, dense grids instead of LPs, direct definitions instead
-of the library's vectorized predicates.  Tests compare the production code
-against these implementations, so nothing here may import from the solver
-or orders internals beyond the model container and belief update.
+Everything in this module is deliberately naive: enumeration of every
+branch instead of dynamic programming, dense grids instead of LPs, direct
+definitions instead of the library's vectorized predicates.  Tests compare
+the production code against these implementations, so nothing here may
+import from the solver or orders internals beyond the model container and
+belief grid.
 """
 
 from __future__ import annotations
@@ -20,28 +21,36 @@ from pomdpcheck.model import PomdpModel, belief_grid
 # Brute-force finite-horizon value (expectimax over actions and observations)
 # ---------------------------------------------------------------------------
 
-def expectimax_value(m: PomdpModel, probs: np.ndarray, depth: int) -> float:
-    """Optimal depth-step value by explicit enumeration.
+def expectimax_values(m: PomdpModel, beliefs: np.ndarray, depth: int) -> np.ndarray:
+    """Optimal depth-step value at every belief row, by explicit enumeration.
 
     V_0 = 0; V_k(pi) = max_u [ r_u'pi + rho * sum_y sigma(pi,y,u) *
-    V_{k-1}(T(pi,y,u)) ], expanding every observation branch recursively.
-    Exponential in depth; intended for depth <= 3 on tiny models.
+    V_{k-1}(T(pi,y,u)) ], expanding every observation branch: the
+    posteriors of all beliefs, actions and live observations form the rows
+    of one recursive call, so the recursion is one call per depth, not one
+    per belief.  Exponential in depth; intended for depth <= 3 on tiny
+    models.
     """
+    beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
     if depth <= 0:
-        return 0.0
-    best = -np.inf
+        return np.zeros(beliefs.shape[0])
+    totals = beliefs @ m.reward.T                    # (N, U)
+    branches = []                                    # (u, belief rows, sigmas)
+    posteriors = []
     for u in range(m.num_actions):
-        total = float(m.reward[u] @ probs)
-        predicted = m.transition[u].T @ probs
-        z = m.observation[u] * predicted[:, None]    # columns: unnormalized posteriors
-        sigmas = z.sum(axis=0)
+        predicted = beliefs @ m.transition[u]        # rows: P_u' pi
+        z = predicted[:, :, None] * m.observation[u][None, :, :]
+        sigmas = z.sum(axis=1)                       # (N, Y)
         for y in range(m.num_obs):
-            if sigmas[y] <= 0.0:
-                continue
-            posterior = z[:, y] / sigmas[y]
-            total += m.discount * sigmas[y] * expectimax_value(m, posterior, depth - 1)
-        best = max(best, total)
-    return best
+            live = np.flatnonzero(sigmas[:, y] > 0.0)
+            branches.append((u, live, sigmas[live, y]))
+            posteriors.append(z[live, :, y] / sigmas[live, y][:, None])
+    values = expectimax_values(m, np.concatenate(posteriors), depth - 1)
+    start = 0
+    for u, live, sigmas in branches:
+        totals[live, u] += m.discount * sigmas * values[start:start + live.size]
+        start += live.size
+    return totals.max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,8 @@ def test_solver_flag_validation(ex1_path):
 @pytest.mark.parametrize("stop", [["--horizon", "6"], ["--grid", "35"]])
 def test_solve_over_cross_sum_cap_exits_two(capsys, tmp_path, stop):
     """ex2's exact cross-sums outgrow the vector cap, from the zero start
-    at horizon 6 and from the grid-35 warm start of the default residual
-    mode; either way the solve ends on one error line."""
+    at horizon 6 and from the resolution-20 warm start of the default
+    residual mode; either way the solve ends on one error line."""
     path = tmp_path / "ex2.json"
     save_model(gen_example("ex2"), path)
     assert main(["solve", str(path), *stop]) == 2

@@ -17,7 +17,7 @@ from pomdpcheck.solver import (_GEMM_BUDGET, _POINT_BLOCK, ExactVF,
                                _lowest_argmax, _q_batch, _residual_sweeps,
                                _streaming_top2, _unique_rows)
 
-from oracles import (envelope_on_grid, expectimax_value, game_margin_oracle,
+from oracles import (envelope_on_grid, expectimax_values, game_margin_oracle,
                      point_backup_q, random_belief, random_model,
                      top2_sort_oracle)
 
@@ -54,10 +54,10 @@ def test_small_models_match_expectimax_depth_three():
         dims = rng.integers(2, 4, size=3)
         m = random_model(rng, int(dims[0]), int(dims[1]), int(dims[2]))
         vf = solve_exact(m, horizon=3)
-        for _ in range(10):
-            pi = random_belief(rng, m.num_states)
-            assert vf.value(pi) == pytest.approx(
-                expectimax_value(m, pi, 3), abs=1e-9)
+        beliefs = np.array([random_belief(rng, m.num_states)
+                            for _ in range(10)])
+        assert vf.values_at(beliefs) == pytest.approx(
+            expectimax_values(m, beliefs, 3), abs=1e-9)
 
 
 def test_iterates_monotone_for_nonnegative_rewards():
@@ -86,9 +86,10 @@ def test_exact_residual_mode_reaches_its_residual():
 
 
 def test_exact_residual_warm_start_below_grid_floor():
-    """At resolution 6 the point-based change of ex1 floors near 1.6e-5,
-    above the 1e-5 target; the warm start still hands over its fixed sweep
-    count and the exact backups reach the target."""
+    """At resolution 6 the point-based change of ex1 floors near 3.3e-5,
+    above the 1e-5 target.  ``resolution`` sets only the history grid: the
+    warm start runs its fixed sweep count on its own resolution-20 grid,
+    and the exact backups reach the target."""
     vf = solve_exact(gen_example("ex1"), residual=1e-5, resolution=6)
     assert max(vf.residuals[-1], vf.grid_residuals[-1]) <= 1e-5
     assert len(vf.residuals) == vf.horizon
@@ -98,11 +99,24 @@ def test_exact_residual_warm_start_below_grid_floor():
 # Pruning
 # ---------------------------------------------------------------------------
 
+def _cross_sum_with_shifted_copies(rng):
+    """A (+) B of two pruned random sets, beside copies of every sum shifted
+    by +-1e-12: each survivor's witness then has near-tied winners."""
+    x = int(rng.integers(2, 5))
+    a, b = (prune(rng.uniform(-1.0, 1.0, (int(rng.integers(2, 6)), x)))[0]
+            for _ in range(2))
+    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, x)
+    return np.vstack([sums, sums + 1e-12, sums - 1e-12])
+
+
 def test_prune_preserves_envelope():
     rng = np.random.default_rng(31)
-    for _ in range(25):
-        n, x = int(rng.integers(3, 40)), int(rng.integers(2, 5))
-        vectors = rng.uniform(-1.0, 1.0, (n, x))
+    cases = [rng.uniform(-1.0, 1.0, (int(rng.integers(3, 40)),
+                                     int(rng.integers(2, 5))))
+             for _ in range(25)]
+    cases += [_cross_sum_with_shifted_copies(rng) for _ in range(10)]
+    for vectors in cases:
+        n = vectors.shape[0]
         pruned, kept = prune(vectors)
         assert pruned.shape[0] == kept.size <= n
         before = envelope_on_grid(vectors, 40)
@@ -114,6 +128,24 @@ def test_prune_preserves_envelope():
             assert game_margin_oracle(vectors[i], pruned) <= 1e-10 + 1e-9
             others = np.delete(vectors, i, axis=0)
             assert game_margin_oracle(vectors[i], others) <= 1e-6
+
+
+def test_prune_admits_witness_winners(monkeypatch):
+    """Each prune round admits the winner at every survivor's witness, so a
+    candidate is not priced again round after round while it waits to win
+    at its own witness.  ex1 at horizon 11 prices 25 073 LP candidates when
+    only the survivor itself can be admitted, and about 15 900 here."""
+    priced = 0
+    batch_margins = solver._batch_margins
+
+    def counting(cands, refs):
+        nonlocal priced
+        priced += np.atleast_2d(cands).shape[0]
+        return batch_margins(cands, refs)
+
+    monkeypatch.setattr(solver, "_batch_margins", counting)
+    solve_exact(gen_example("ex1"), horizon=11)
+    assert priced <= 18_000
 
 
 def test_batch_margins_match_vertex_oracle():
@@ -399,11 +431,10 @@ def test_q_values_match_depth_two_expectimax():
     for _ in range(20):
         m = random_model(rng, 2, 2, 2)
         vf = solve_exact(m, horizon=1)
-        for _ in range(10):
-            pi = random_belief(rng, 2)
-            q = _q_batch(m, vf.vectors, pi[None, :])[0]
-            assert q.max() == pytest.approx(
-                expectimax_value(m, pi, 2), abs=1e-10)
+        beliefs = np.array([random_belief(rng, 2) for _ in range(10)])
+        q = _q_batch(m, vf.vectors, beliefs)
+        assert q.max(axis=1) == pytest.approx(
+            expectimax_values(m, beliefs, 2), abs=1e-10)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "hierarchical"])
