@@ -23,34 +23,30 @@ The package splits into five layers:
 from .examples import gen_example, list_examples
 from .model import (ModelFormatError, PomdpModel, belief_grid, load_model,
                     loads_model, make_model, model_to_json,
-                    reward_shift_controlled, reward_shift_general, save_model,
-                    validate_model)
+                    reward_shift_general, save_model, validate_model)
 from .orders import (blackwell_dominates, check_a5, check_a7,
                      copositive_dominates, fosd_dominates, gamma_matrices,
                      is_copositive, is_tp2, lehmann_precision, mlr_dominates,
                      reverse_factorization)
 from .solver import (CapacityError, ExactVF, GridVF, gamma_monotone_report,
                      prune, solve_exact, solve_grid, vf_to_dict)
-from .structural import (assumption_report, compare_models, psi, psi_sweep,
-                         slack_budget, solve_for_verification,
-                         verification_report, verify_policy_dominance,
-                         verify_q_diff_monotone, verify_range_containment,
-                         verify_value_monotone_convex)
+from .structural import (assumption_report, compare_models, psi_sweep,
+                         slack_budget, verification_report,
+                         verify_policy_dominance, verify_q_diff_monotone,
+                         verify_range_containment, verify_value_monotone_convex)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityError", "ExactVF", "GridVF", "ModelFormatError",
-    "PomdpModel", "assumption_report",
-    "belief_grid", "blackwell_dominates", "check_a5", "check_a7",
-    "compare_models", "copositive_dominates", "fosd_dominates",
+    "CapacityError", "ExactVF", "GridVF", "ModelFormatError", "PomdpModel",
+    "assumption_report", "belief_grid", "blackwell_dominates", "check_a5",
+    "check_a7", "compare_models", "copositive_dominates", "fosd_dominates",
     "gamma_matrices", "gamma_monotone_report", "gen_example", "is_copositive",
     "is_tp2", "lehmann_precision", "list_examples", "load_model",
     "loads_model", "make_model", "mlr_dominates", "model_to_json", "prune",
-    "psi", "psi_sweep", "reverse_factorization", "reward_shift_controlled",
-    "reward_shift_general", "save_model", "slack_budget", "solve_exact",
-    "solve_for_verification", "solve_grid", "validate_model",
-    "verification_report", "verify_policy_dominance", "verify_q_diff_monotone",
-    "verify_range_containment", "verify_value_monotone_convex", "vf_to_dict",
-    "__version__",
+    "psi_sweep", "reverse_factorization", "reward_shift_general",
+    "save_model", "slack_budget", "solve_exact", "solve_grid",
+    "validate_model", "verification_report", "verify_policy_dominance",
+    "verify_q_diff_monotone", "verify_range_containment",
+    "verify_value_monotone_convex", "vf_to_dict", "__version__",
 ]

@@ -31,8 +31,9 @@ from .model import (ModelFormatError, _row_violations, belief_grid,
                     load_model, model_to_json, validate_model)
 from .solver import (CapacityError, _lowest_argmax, _mode_or_error, _q_batch,
                      gamma_monotone_report, vf_to_dict)
-from .structural import (DEFAULT_RESIDUAL, assumption_report, compare_models,
-                         solve_for_verification, verification_report)
+from .structural import (_SOLVERS, DEFAULT_RESIDUAL, DEFAULT_RESOLUTION,
+                         assumption_report, compare_models,
+                         verification_report)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -95,8 +96,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     m = _load_stochastic(args.model)
     method = args.method or "exact"
-    vf = solve_for_verification(m, method=method, resolution=args.grid,
-                                horizon=args.horizon, residual=args.residual)
+    vf = _SOLVERS[method](m, resolution=args.grid, horizon=args.horizon,
+                          residual=args.residual)
     doc = vf_to_dict(vf)
     doc["model"] = m.name
     doc["method"] = method
@@ -185,13 +186,14 @@ def _check_solver_args(args: argparse.Namespace) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=100, metavar="D",
-                   help="belief-grid resolution (default 100)")
+    p.add_argument("--grid", type=int, default=DEFAULT_RESOLUTION, metavar="D",
+                   help="belief-grid resolution (default %(default)s)")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--horizon", type=int, metavar="K",
                       help="finite-horizon solve with K backups")
     mode.add_argument("--residual", type=float, metavar="TAU",
-                      help="infinite-horizon proxy target (default 1e-8)")
+                      help="infinite-horizon proxy target (default "
+                           + f"{DEFAULT_RESIDUAL:g})".replace("e-0", "e-"))
     p.add_argument("--method", choices=("exact", "grid"),
                    help="solver backend (solve defaults to exact; "
                         "verify/compare default to grid)")

@@ -22,7 +22,6 @@ import numpy as np
 from . import lp
 
 ROW_SUM_TOL = 1e-9
-SHIFT_RESIDUAL_TOL = 1e-8
 SHIFT_MARGIN = 1e-6
 
 
@@ -54,16 +53,6 @@ def _belief_rows(points, num_states: int) -> np.ndarray:
     if off.any():
         raise ValueError(f"belief sums to {totals[off][0]}, too far from 1")
     return pts
-
-
-def _belief_array(value, num_states: int) -> np.ndarray:
-    """Validate one belief vector (see ``_belief_rows``).  Returns it clipped
-    at zero and renormalized."""
-    p = np.asarray(value, dtype=float)
-    if p.shape != (num_states,):
-        raise ValueError(f"belief shape {p.shape} != {(num_states,)}")
-    p = np.clip(_belief_rows(p, num_states)[0], 0.0, None)
-    return p / p.sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,32 +197,6 @@ def _shift_rows(m: PomdpModel):
         d = eye - m.discount * m.transition[u]
         rows.extend(d[i + 1] - d[i] for i in range(m.num_states - 1))
     return np.array(rows)
-
-
-def reward_shift_controlled(m: PomdpModel):
-    """Shift rewards so every action's reward vector is strictly increasing,
-    leaving the optimization problem equivalent (shared transitions only).
-
-    Returns (f, shifted_model, residual) where the additive state potential f
-    solves (I - discount * P) f = delta with delta(i) = i * spread_bound, and
-    residual is the sup-norm defect of that solve.
-    """
-    if not m.shared_transition:
-        raise ValueError("reward_shift_controlled requires a shared transition matrix")
-    spread = float(m.reward.max() - m.reward.min())
-    step = spread + 1.0
-    delta = step * np.arange(1, m.num_states + 1, dtype=float)
-    p = m.transition[0]
-    f = np.linalg.solve(np.eye(m.num_states) - m.discount * p, delta)
-    residual = float(np.abs((np.eye(m.num_states) - m.discount * p) @ f - delta).max())
-    if residual > SHIFT_RESIDUAL_TOL:
-        raise ArithmeticError(f"reward shift solve residual {residual} exceeds tolerance")
-    shifted = PomdpModel(
-        name=m.name + "_shifted", num_states=m.num_states, num_obs=m.num_obs,
-        num_actions=m.num_actions, discount=m.discount, transition=m.transition,
-        observation=m.observation, reward=m.reward + delta[None, :],
-        shared_transition=m.shared_transition)
-    return f, shifted, residual
 
 
 def reward_shift_general(m: PomdpModel) -> dict:

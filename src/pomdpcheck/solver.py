@@ -26,8 +26,8 @@ from math import ceil, log
 
 import numpy as np
 
-from .model import (PomdpModel, _belief_array, _belief_rows, _readonly,
-                    belief_grid, capped_resolution)
+from .model import (PomdpModel, _belief_rows, _readonly, belief_grid,
+                    capped_resolution)
 
 PRUNE_EPS = 1e-10
 TIE_TOL = 1e-10
@@ -45,14 +45,9 @@ _POINT_BLOCK = 128  # most beliefs per score block
 # on two); for products this small the second thread mostly waits, so blocks
 # stay at half that threshold, on one thread and cache-sized.
 _GEMM_BUDGET = 2**18
-# Tableau bytes per margin-LP batch.  Each simplex sweep makes a few
-# temporaries of the tableau's size, and at 2 MB glibc still maps and faults
-# them in afresh: `solve ex1 --method exact --horizon 11` takes 49.5 k minor
-# faults inside `cli.main`.  120 KB batches took 14.3 k faults but ran
-# 0.90-0.94 s against 0.85 s (2-core box, three runs each), so the batches
-# stay at 2 MB.  A workspace reused across sweeps cut the faults to 14.8 k
-# and system time by 0.08 s, but its wall time could not be told apart from
-# this code's and its peak RSS was 1.5 MB higher, so there is none.
+# Tableau bytes per margin-LP batch.  Smaller batches fault in fewer fresh
+# temporaries but ran slower: 120 KB batches took `solve ex1 --method exact
+# --horizon 11` 0.90-0.94 s against 0.85 s (2-core box, three runs each).
 _LP_BATCH_BYTES = 2_000_000
 
 
@@ -114,10 +109,6 @@ class _Envelope:
         """The last iteration's change, or None before the first iteration."""
         return self.residuals[-1] if self.residuals else None
 
-    def value(self, belief) -> float:
-        return float(self.values_at(
-            _belief_array(belief, self.vectors.shape[1])[None, :])[0])
-
     def values_at(self, points) -> np.ndarray:
         return _best_rows(_belief_rows(points, self.vectors.shape[1]),
                           self.vectors)[1]
@@ -166,7 +157,8 @@ class GridVF(_Envelope):
 # ---------------------------------------------------------------------------
 
 def _batch_margins(cands, refs):
-    """Margin of every candidate vector against a shared reference set.
+    """Margin of every candidate vector against a reference set: one shared
+    (R, X) set, or an (R, B, X) stack giving candidate b the set refs[:, b].
 
     The margin of v is max over beliefs pi of (v'pi - max_w w'pi): positive
     means some belief strictly prefers v to every reference vector, negative
@@ -194,7 +186,7 @@ def _batch_margins(cands, refs):
     n_cols = n_refs + n_states + 1
     tableau = np.zeros((n_cand, n_states + 1, n_cols))
     payoff = tableau[:, :n_states, :n_refs]                  # (B, X, R) view
-    np.subtract(cands[:, :, None], refs.T[None, :, :], out=payoff)
+    np.subtract(cands[:, :, None], np.moveaxis(refs, 0, -1), out=payoff)
     shift = 1.0 - payoff.min(axis=(1, 2))                    # makes payoffs >= 1
     payoff += shift[:, None, None]
     tableau[:, :n_states, n_refs:n_refs + n_states] = np.eye(n_states)
@@ -281,6 +273,12 @@ def _streaming_top2(rows: np.ndarray, points: np.ndarray):
     return top_idx, top_val, second
 
 
+def _lp_chunk(num_refs: int, num_states: int) -> int:
+    """Candidates per margin-LP batch: tableaus of at most _LP_BATCH_BYTES."""
+    return max(1, min(4096, _LP_BATCH_BYTES // (
+        8 * (num_states + 1) * (num_refs + num_states + 1))))
+
+
 def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     """Ascending indices of the vectors forming the upper envelope.
 
@@ -302,7 +300,7 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     margin is above eps while an admitted vector wins at its witness (the
     LP resolves margins only to about 1e-9), the survivor of largest
     margin is forced in.  Every forced vector is re-tested against the
-    final set.
+    final set (:func:`_retest_forced`).
     """
     n_input = cands.shape[0]
     if n_input <= 1:
@@ -359,8 +357,7 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
             if not pool:
                 break
 
-        chunk = max(1, min(4096, _LP_BATCH_BYTES // (
-            8 * (num_states + 1) * (refs.shape[0] + num_states + 1))))
+        chunk = _lp_chunk(refs.shape[0], num_states)
         margins = np.empty(len(pool))
         witnesses = np.empty((len(pool), num_states))
         for start in range(0, len(pool), chunk):
@@ -399,18 +396,26 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
             forced.append(forced_id)
             pool.remove(forced_id)
 
-    for idx in sorted(forced):
-        if not in_r[idx]:
-            continue
-        others = np.flatnonzero(in_r)
-        others = others[others != idx]
-        if others.size == 0:
-            continue
-        margin, _ = _batch_margins(cands_u[idx:idx + 1], cands_u[others])
-        if margin[0] <= eps:
-            in_r[idx] = False
-
+    _retest_forced(cands_u, in_r, np.unique(forced), eps)
     return dedup[np.flatnonzero(in_r)]
+
+
+def _retest_forced(cands: np.ndarray, in_r: np.ndarray, pending: np.ndarray,
+                   eps: float) -> None:
+    """Drop each ascending ``pending`` vector whose margin against the rest
+    of ``in_r`` is at most eps, as a one-at-a-time loop would, testing a
+    group per LP batch: after a drop only the later vectors also at or below
+    eps are re-tested, since a drop cannot lower the others' margins."""
+    chunk = _lp_chunk(int(in_r.sum()) - 1, cands.shape[1])
+    for start in range(0, pending.size, chunk):
+        group = pending[start:start + chunk]
+        while group.size and in_r.sum() > 1:
+            members = np.flatnonzero(in_r)
+            others = np.stack([members[members != i] for i in group], axis=1)
+            margins, _ = _batch_margins(cands[group], cands[others])
+            low = np.flatnonzero(margins <= eps)
+            in_r[group[low[:1]]] = False
+            group = group[low[1:]]
 
 
 def prune(vectors):
@@ -431,12 +436,13 @@ def prune(vectors):
 # Exact value iteration
 # ---------------------------------------------------------------------------
 
-def _backup_arrays(m: PomdpModel, vectors: np.ndarray, *, cap: int):
+def _backup_arrays(m: PomdpModel, vectors: np.ndarray):
     """One exact Bellman backup of an alpha-vector set.
 
     Per action: back-project the vectors through each observation, prune,
     and cross-sum over observations with incremental pruning; the immediate
     reward starts the cross-sum.  Returns the pruned union over actions.
+    Raises CapacityError when a cross-sum would pass CROSS_SUM_CAP vectors.
     """
     num_states = m.num_states
     projections = _projections(m, vectors)
@@ -447,10 +453,10 @@ def _backup_arrays(m: PomdpModel, vectors: np.ndarray, *, cap: int):
             proj = projections[u, y]
             proj = proj[_prune_arrays(proj, PRUNE_EPS)]
             size = current.shape[0] * proj.shape[0]
-            if size > cap:
+            if size > CROSS_SUM_CAP:
                 raise CapacityError(
                     f"cross-sum for action {u} would create {size} vectors "
-                    f"(cap {cap}); use the grid solver for this model")
+                    f"(cap {CROSS_SUM_CAP}); use the grid solver for this model")
             current = (current[:, None, :] + proj[None, :, :]).reshape(-1, num_states)
             if y > 0:
                 # At y = 0 the sum is the reward row plus each pruned
@@ -489,8 +495,8 @@ def _mode_or_error(horizon, residual) -> None:
 
 
 def solve_exact(m: PomdpModel, *, horizon: int | None = None,
-                residual: float | None = None, resolution: int = 100,
-                cap: int = CROSS_SUM_CAP) -> ExactVF:
+                residual: float | None = None,
+                resolution: int = 100) -> ExactVF:
     """Exact value iteration, either for a fixed horizon or to a residual.
 
     Horizon mode starts from the zero value function and performs exactly
@@ -502,8 +508,8 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
     LP-certified sup-norm change and the change measured on the
     ``resolution`` grid drop to ``residual`` or below, raising
     ArithmeticError after EXACT_MAX_ITER backups.  Raises CapacityError
-    when a cross-sum would exceed ``cap`` vectors, in which case the grid
-    solver is the practical alternative.
+    when a cross-sum would exceed CROSS_SUM_CAP vectors, in which case the
+    grid solver is the practical alternative.
     """
     _mode_or_error(horizon, residual)
     grid_res = capped_resolution(m.num_states, resolution, 20_000)
@@ -523,7 +529,7 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
     residuals: list[float] = []
     grid_residuals: list[float] = []
     while vf.horizon < steps:
-        vectors, actions = _backup_arrays(m, vf.vectors, cap=cap)
+        vectors, actions = _backup_arrays(m, vf.vectors)
         new = ExactVF(vectors=vectors, actions=actions, horizon=vf.horizon + 1)
         new_values = new.values_at(history_grid)
         residuals.append(_sup_residual(new.vectors, vf.vectors))
@@ -678,13 +684,14 @@ def _lowest_argmax(scores: np.ndarray) -> np.ndarray:
     return np.argmax(scores >= best - TIE_TOL, axis=-1)
 
 
-def gamma_monotone_report(vf: ExactVF, tol: float = GAMMA_TOL) -> dict:
+def gamma_monotone_report(vf: ExactVF) -> dict:
     """Entry-monotonicity report over all alpha vectors.
 
     Checks gamma(first) <= gamma(middle) <= gamma(last) per vector, plus full
     consecutive monotonicity (which the structural theory predicts for
-    3-state models under its hypotheses).  Margins are minima over vectors;
-    None where the state count leaves a check vacuous.
+    3-state models under its hypotheses), each within GAMMA_TOL.  Margins
+    are minima over vectors; None where the state count leaves a check
+    vacuous.
     """
     v = vf.vectors
     num_states = v.shape[1]
@@ -694,9 +701,9 @@ def gamma_monotone_report(vf: ExactVF, tol: float = GAMMA_TOL) -> dict:
         mid_last = float((v[:, -1:] - v[:, 1:num_states - 1]).min())
     consecutive = float(np.diff(v, axis=1).min()) if num_states >= 2 else None
     return {
-        "first_vs_middle_ok": first_mid is None or first_mid >= -tol,
-        "middle_vs_last_ok": mid_last is None or mid_last >= -tol,
-        "fully_increasing": consecutive is None or consecutive >= -tol,
+        "first_vs_middle_ok": first_mid is None or first_mid >= -GAMMA_TOL,
+        "middle_vs_last_ok": mid_last is None or mid_last >= -GAMMA_TOL,
+        "fully_increasing": consecutive is None or consecutive >= -GAMMA_TOL,
         "min_first_vs_middle": first_mid,
         "min_middle_vs_last": mid_last,
         "min_consecutive_diff": consecutive,

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (PomdpModel, _belief_array, _belief_rows, belief_grid,
-                    reward_shift_general)
+from .model import PomdpModel, _belief_rows, belief_grid, reward_shift_general
 from .orders import (PAIR_TOL, blackwell_dominates, check_a5, check_a7,
                      copositive_dominates, is_tp2, lehmann_precision,
                      reverse_factorization)
@@ -126,7 +125,7 @@ def assumption_report(m: PomdpModel) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Slack budget and verification solves
+# Slack budget and verification solvers
 # ---------------------------------------------------------------------------
 
 def slack_budget(m: PomdpModel, *, residual: float | None = None,
@@ -148,23 +147,9 @@ def slack_budget(m: PomdpModel, *, residual: float | None = None,
     return 2.0 * (m.discount ** int(horizon)) * rmax / one_minus
 
 
-def solve_for_verification(m: PomdpModel, *, method: str = "grid",
-                           resolution: int = DEFAULT_RESOLUTION,
-                           horizon: int | None = None,
-                           residual: float | None = None):
-    """Produce the value function the verification harness measures against.
-
-    ``method`` picks :func:`solve_grid` or :func:`solve_exact`, called with
-    the given resolution and stop rule.  A grid residual target runs the
-    a-priori sweep count of ``solver._residual_sweeps``; the returned value
-    function's ``residual`` is the change actually reached, so reports can
-    state the achieved residual next to the requested one.
-    """
-    solvers = {"grid": solve_grid, "exact": solve_exact}
-    if method not in solvers:
-        raise ValueError(f"unknown solver method: {method!r}")
-    return solvers[method](m, resolution=resolution, horizon=horizon,
-                           residual=residual)
+# The solver each ``method`` names (an unknown one raises KeyError); its
+# value function's ``residual`` is the change the solve actually reached.
+_SOLVERS = {"grid": solve_grid, "exact": solve_exact}
 
 
 # ---------------------------------------------------------------------------
@@ -271,43 +256,16 @@ def _posterior_tails(m: PomdpModel, beliefs: np.ndarray):
     return tails, sigmas, normalized
 
 
-def _check_action_pair(m: PomdpModel, u_low: int, u_high: int) -> None:
-    for u in (u_low, u_high):
-        if not 0 <= u < m.num_actions:
-            raise ValueError(f"action index {u} out of range")
-
-
-def psi(m: PomdpModel, pi, u_low: int, u_high: int, lam: float) -> float:
-    """Convex-dominance gap of posterior tails between two actions.
-
-    psi(lam) = sum_y [tail - lam]+ sigma at u_high minus the same sum at
-    u_low, where tail is the last coordinate of the normalized posterior and
-    sigma the observation probability; terms with sigma = 0 are skipped by
-    construction because their unnormalized tails are exactly zero.  The
-    structural prediction under the precision and boundary hypotheses is
-    psi(lam) >= 0 for every lam, with both endpoints forced to zero:
-    at lam <= 0 the sums telescope to the expected tail, equal across
-    actions sharing a transition matrix, and at lam >= 1 every term clips.
-    """
-    if not m.shared_transition:
-        raise ValueError("psi requires a shared transition matrix")
-    _check_action_pair(m, u_low, u_high)
-    tails, sigmas, _ = _posterior_tails(
-        m, _belief_array(pi, m.num_states)[None, :])
-    total = 0.0
-    for u, sign in ((u_high, 1.0), (u_low, -1.0)):
-        total += sign * float(np.maximum(tails[0, u] - lam * sigmas[0, u],
-                                          0.0).sum())
-    return total
-
-
-def psi_sweep(m: PomdpModel, beliefs, *,
-              num_lambda: int = PSI_LAMBDA_POINTS) -> dict:
+def psi_sweep(m: PomdpModel, beliefs) -> dict:
     """Minimum of psi over a lambda sweep, per belief and action pair.
 
+    psi(lam) = sum_y [tail - lam]+ sigma at the higher action of a pair
+    minus the same sum at the lower one (tail: last coordinate of the
+    normalized posterior; sigma: observation probability), predicted >= 0.
+
     Evaluates psi, for all beliefs at once, on the uniform [0, 1] grid of
-    ``num_lambda`` points plus the exact breakpoints tail / sigma of each
-    (belief, pair); since psi is piecewise linear in lambda, grid plus
+    PSI_LAMBDA_POINTS points plus the exact breakpoints tail / sigma of
+    each (belief, pair); since psi is piecewise linear in lambda, grid plus
     breakpoints is exhaustive.  A breakpoint of an observation with
     sigma = 0 is parked at lambda = 0, which the grid already holds.
     Returns the minima matrix (num_beliefs, num_pairs), the overall minimum,
@@ -320,8 +278,8 @@ def psi_sweep(m: PomdpModel, beliefs, *,
     pts = _belief_rows(beliefs, m.num_states)
     tails, sigmas, breaks = _posterior_tails(m, pts)
     num_pairs = m.num_actions - 1
-    base = np.broadcast_to(np.linspace(0.0, 1.0, num_lambda),
-                           (pts.shape[0], num_lambda))
+    base = np.broadcast_to(np.linspace(0.0, 1.0, PSI_LAMBDA_POINTS),
+                           (pts.shape[0], PSI_LAMBDA_POINTS))
     minima = np.empty((pts.shape[0], num_pairs))
     end_low = np.empty((pts.shape[0], num_pairs))
     end_high = np.empty((pts.shape[0], num_pairs))
@@ -336,14 +294,14 @@ def psi_sweep(m: PomdpModel, beliefs, *,
         values = piece(p + 1) - piece(p)
         minima[:, p] = values.min(axis=1)
         end_low[:, p] = values[:, 0]
-        end_high[:, p] = values[:, num_lambda - 1]
+        end_high[:, p] = values[:, PSI_LAMBDA_POINTS - 1]
     return {
         "minima": minima,
         "min": float(minima.min()) if minima.size else None,
         "minima_per_pair": minima.min(axis=0).tolist() if minima.size else [],
         "max_abs_psi_at_0": float(np.abs(end_low).max()) if end_low.size else 0.0,
         "max_abs_psi_at_1": float(np.abs(end_high).max()) if end_high.size else 0.0,
-        "num_lambda": int(num_lambda),
+        "num_lambda": PSI_LAMBDA_POINTS,
         "num_beliefs": int(pts.shape[0]),
     }
 
@@ -359,7 +317,9 @@ def verify_range_containment(m: PomdpModel, beliefs, u_low: int,
     max(high tails) < max(low tails) - RANGE_TOL.  Action indices out of
     range and invalid belief rows raise ValueError.
     """
-    _check_action_pair(m, u_low, u_high)
+    for u in (u_low, u_high):
+        if not 0 <= u < m.num_actions:
+            raise ValueError(f"action index {u} out of range")
     pts = _belief_rows(beliefs, m.num_states)
     _, sigmas, normalized = _posterior_tails(m, pts)
     pair = [u_low, u_high]
@@ -388,15 +348,15 @@ def verify_range_containment(m: PomdpModel, beliefs, u_low: int,
 # ---------------------------------------------------------------------------
 
 def verify_value_monotone_convex(vf, *, num_lines: int = 100,
-                                 seed: int = 0,
-                                 tol: float = SHAPE_TOL) -> dict:
+                                 seed: int = 0) -> dict:
     """Sample SHAPE_POINTS-point lines from random zero-last-coordinate bases
     to the last vertex; check the envelope is nondecreasing and convex on each.
 
     Monotone margin: the most negative consecutive difference along any
     line.  Convexity margin: the most negative value of
     (v[i-1] + v[i+1])/2 - v[i] over interior points (the chord test on the
-    uniform parameter grid).  Both must stay above -tol for the verdicts.
+    uniform parameter grid).  Both must stay above -SHAPE_TOL for the
+    verdicts.
     """
     num_states = vf.vectors.shape[1]
     if num_states < 2:
@@ -413,13 +373,13 @@ def verify_value_monotone_convex(vf, *, num_lines: int = 100,
     worst_convex = float(
         (0.5 * (values[:, :-2] + values[:, 2:]) - values[:, 1:-1]).min())
     return {
-        "monotone_ok": worst_monotone >= -tol,
-        "convex_ok": worst_convex >= -tol,
+        "monotone_ok": worst_monotone >= -SHAPE_TOL,
+        "convex_ok": worst_convex >= -SHAPE_TOL,
         "min_monotone_margin": worst_monotone,
         "min_convexity_margin": worst_convex,
         "num_lines": int(num_lines),
         "num_points": SHAPE_POINTS,
-        "tol": float(tol),
+        "tol": SHAPE_TOL,
     }
 
 
@@ -485,12 +445,11 @@ def compare_models(m_strong: PomdpModel, m_weak: PomdpModel, *,
     slack = slack_budget(m_strong, residual=residual, horizon=horizon)
     beliefs = belief_grid(m_strong.num_states, resolution)
     identical = np.array_equal(m_strong.observation, m_weak.observation)
-    vf_strong = solve_for_verification(
-        m_strong, method=method, resolution=resolution,
-        residual=residual, horizon=horizon)
-    vf_weak = vf_strong if identical else solve_for_verification(
-        m_weak, method=method, resolution=resolution,
-        residual=residual, horizon=horizon)
+    solve = _SOLVERS[method]
+    vf_strong = solve(m_strong, resolution=resolution, residual=residual,
+                      horizon=horizon)
+    vf_weak = vf_strong if identical else solve(
+        m_weak, resolution=resolution, residual=residual, horizon=horizon)
     gaps = vf_strong.values_at(beliefs) - vf_weak.values_at(beliefs)
     worst = int(np.argmin(gaps))
     return {
@@ -539,8 +498,8 @@ def verification_report(m: PomdpModel, *,
         residual = DEFAULT_RESIDUAL
     assumptions = assumption_report(m)
     slack = slack_budget(m, residual=residual, horizon=horizon)
-    vf = solve_for_verification(m, method=method, resolution=resolution,
-                                residual=residual, horizon=horizon)
+    vf = _SOLVERS[method](m, resolution=resolution, residual=residual,
+                          horizon=horizon)
     dominance = verify_policy_dominance(m, vf, resolution=resolution,
                                         slack=slack)
     q_diff = verify_q_diff_monotone(m, vf, resolution=resolution)

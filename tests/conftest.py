@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from pomdpcheck import gen_example, solve_exact
-from pomdpcheck.structural import solve_for_verification
+from pomdpcheck import gen_example, solve_exact, solve_grid
 
 RESIDUAL = 1e-8
 GRID = 100
@@ -64,14 +63,12 @@ def hier_exact_h6(hier):
 
 @pytest.fixture(scope="session")
 def ex1_grid100(ex1):
-    return solve_for_verification(ex1, method="grid", resolution=GRID,
-                                  residual=RESIDUAL)
+    return solve_grid(ex1, resolution=GRID, residual=RESIDUAL)
 
 
 @pytest.fixture(scope="session")
 def ex2_grid100(ex2):
-    return solve_for_verification(ex2, method="grid", resolution=GRID,
-                                  residual=RESIDUAL)
+    return solve_grid(ex2, resolution=GRID, residual=RESIDUAL)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from pomdpcheck import (belief_grid, blackwell_dominates, compare_models,
                         fosd_dominates, gen_example, is_copositive, is_tp2,
-                        mlr_dominates, psi, psi_sweep, reverse_factorization,
+                        mlr_dominates, psi_sweep, reverse_factorization,
                         save_model, slack_budget, solve_grid,
                         gamma_monotone_report, verify_policy_dominance,
                         verify_q_diff_monotone, verify_value_monotone_convex,
@@ -124,8 +124,9 @@ def test_criterion_05_psi_sweep(ex1, ex2):
     rng = np.random.default_rng(50)
     for m in (ex1, ex2):
         beliefs = rng.dirichlet(np.ones(3), size=200)
-        sweep = psi_sweep(m, beliefs, num_lambda=201)
+        sweep = psi_sweep(m, beliefs)
         assert sweep["num_beliefs"] == 200
+        assert sweep["num_lambda"] == 201
         assert sweep["min"] >= -1e-9
         assert sweep["max_abs_psi_at_0"] <= 1e-12
         assert sweep["max_abs_psi_at_1"] <= 1e-12
@@ -135,11 +136,10 @@ def test_criterion_05_psi_sweep(ex1, ex2):
         m = random_model(model_rng, int(model_rng.integers(2, 5)),
                          int(model_rng.integers(2, 5)),
                          int(model_rng.integers(2, 4)), shared=True)
-        for _ in range(5):
-            pi = random_belief(model_rng, m.num_states)
-            u_hi = m.num_actions - 1
-            assert abs(psi(m, pi, 0, u_hi, 0.0)) <= 1e-12
-            assert abs(psi(m, pi, 0, u_hi, 1.0)) <= 1e-12
+        beliefs = [random_belief(model_rng, m.num_states) for _ in range(5)]
+        sweep = psi_sweep(m, beliefs)
+        assert sweep["max_abs_psi_at_0"] <= 1e-12
+        assert sweep["max_abs_psi_at_1"] <= 1e-12
 
 
 def test_criterion_06_exact_solver_matches_expectimax():
@@ -180,10 +180,11 @@ def test_criterion_07_contraction_and_cross_method(ex1, ex1_exact_h10,
 
 def test_criterion_08_value_shape_and_alpha_monotonicity(ex1_exact_h10):
     shape = verify_value_monotone_convex(ex1_exact_h10, num_lines=100,
-                                         seed=80, tol=1e-9)
+                                         seed=80)
+    assert shape["tol"] == 1e-9
     assert shape["monotone_ok"], shape
     assert shape["convex_ok"], shape
-    gamma = gamma_monotone_report(ex1_exact_h10, tol=1e-10)
+    gamma = gamma_monotone_report(ex1_exact_h10)
     assert gamma["fully_increasing"], gamma
 
 

@@ -353,6 +353,9 @@ def test_readme_entry_points_are_exported():
     assert len(names) >= 30
     missing = [n for n in names if n not in pomdpcheck.__all__]
     assert missing == []
+    unlisted = set(pomdpcheck.__all__) - set(names) - {"__version__"}
+    assert unlisted == set()
+    assert len(names) == len(set(names))
     assert all(callable(getattr(pomdpcheck, n)) for n in names)
 
 

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from pomdpcheck import (ModelFormatError, belief_grid, gen_example,
                         load_model, loads_model, make_model, model_to_json,
-                        psi_sweep, reward_shift_controlled,
-                        reward_shift_general, save_model, solve_grid,
-                        validate_model, verify_range_containment)
-from pomdpcheck.model import _belief_array, _belief_rows
+                        psi_sweep, reward_shift_general, save_model,
+                        solve_grid, validate_model, verify_range_containment)
+from pomdpcheck.model import _belief_rows
 from pomdpcheck.structural import _posterior_tails
 
 from oracles import compositions_oracle, random_model
@@ -69,16 +68,14 @@ def test_bundled_examples_validate_clean():
 
 
 def test_belief_validation(ex1):
-    b = _belief_array([0.2, 0.3, 0.5], 3)
-    assert b.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        _belief_array(np.array([0.5, 0.6]), 2)       # sums to 1.1
+        _belief_rows(np.array([0.5, 0.6]), 2)        # sums to 1.1
     with pytest.raises(ValueError):
-        _belief_array(np.array([-0.2, 1.2]), 2)      # negative entry
+        _belief_rows(np.array([-0.2, 1.2]), 2)       # negative entry
     with pytest.raises(ValueError):
-        _belief_array(np.array([np.nan, 1.0]), 2)
+        _belief_rows(np.array([np.nan, 1.0]), 2)
     with pytest.raises(ValueError):
-        _belief_array([0.2, 0.3, 0.5], 2)            # wrong length
+        _belief_rows([0.2, 0.3, 0.5], 2)             # wrong length
     rows = np.array([[0.2, 0.3, 0.5], [-1e-10, 0.5, 0.5 + 1e-10]])
     assert _belief_rows(rows, 3) is rows             # used as given
     assert _belief_rows([0.2, 0.3, 0.5], 3).shape == (1, 3)
@@ -136,23 +133,6 @@ def test_observation_likelihoods_sum_to_one(pi, u, seed):
 # ---------------------------------------------------------------------------
 # Reward shifts
 # ---------------------------------------------------------------------------
-
-def test_reward_shift_controlled_makes_rewards_increase():
-    m = gen_example("ex1")
-    f, shifted, residual = reward_shift_controlled(m)
-    assert residual <= 1e-8
-    assert (np.diff(shifted.reward, axis=1) > 0).all()
-    # the additive potential per state is action-independent
-    delta = shifted.reward - m.reward
-    assert np.allclose(delta[0], delta[1])
-
-
-def test_reward_shift_controlled_requires_shared_transition():
-    rng = np.random.default_rng(3)
-    m = random_model(rng, 3, 3, 2, shared=False)
-    with pytest.raises(ValueError):
-        reward_shift_controlled(m)
-
 
 def test_reward_shift_general_feasible_on_bundled():
     shift = reward_shift_general(gen_example("ex1"))

@@ -34,7 +34,7 @@ def zero_vf(num_states):
 def test_horizon_zero_is_zero():
     vf = solve_exact(gen_example("ex1"), horizon=0)
     assert vf.num_vectors == 1
-    assert vf.value([0.2, 0.3, 0.5]) == 0.0
+    assert vf.values_at([0.2, 0.3, 0.5])[0] == 0.0
 
 
 def test_horizon_one_is_best_immediate_reward():
@@ -45,7 +45,7 @@ def test_horizon_one_is_best_immediate_reward():
         for _ in range(10):
             pi = random_belief(rng, 3)
             expected = (m.reward @ pi).max()
-            assert vf.value(pi) == pytest.approx(expected, abs=1e-12)
+            assert vf.values_at(pi)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_small_models_match_expectimax_depth_three():
@@ -74,9 +74,10 @@ def test_iterates_monotone_for_nonnegative_rewards():
         prev = cur
 
 
-def test_capacity_error_raised():
-    with pytest.raises(CapacityError):
-        solve_exact(gen_example("hierarchical"), horizon=3, cap=3)
+def test_capacity_error_raised(monkeypatch):
+    monkeypatch.setattr(solver, "CROSS_SUM_CAP", 3)
+    with pytest.raises(CapacityError, match="cap 3"):
+        solve_exact(gen_example("hierarchical"), horizon=3)
 
 
 def test_exact_residual_mode_reaches_its_residual():
@@ -146,6 +147,60 @@ def test_prune_admits_witness_winners(monkeypatch):
     monkeypatch.setattr(solver, "_batch_margins", counting)
     solve_exact(gen_example("ex1"), horizon=11)
     assert priced <= 18_000
+
+
+def test_forced_vectors_are_retested_in_batches(monkeypatch):
+    """The final re-test of forced vectors prices them together in margin
+    LP batches, each against the admitted set minus itself, and re-prices
+    only the ones a drop could change.  ex1 at horizon 11 makes 381
+    single-candidate margin calls when each is re-tested on its own, and
+    38 here."""
+    single = 0
+    batch_margins = solver._batch_margins
+
+    def counting(cands, refs):
+        nonlocal single
+        single += np.atleast_2d(cands).shape[0] == 1
+        return batch_margins(cands, refs)
+
+    monkeypatch.setattr(solver, "_batch_margins", counting)
+    solve_exact(gen_example("ex1"), horizon=11)
+    assert single <= 60
+
+
+# A one-byte budget puts each forced vector in a group of its own.
+@pytest.mark.parametrize("budget", [solver._LP_BATCH_BYTES, 1])
+def test_retest_forced_matches_one_at_a_time(monkeypatch, budget):
+    """Batched re-testing drops exactly what re-testing each forced vector
+    in index order against the current set drops.  Each set ends with
+    copies of its first three rows shifted by 1e-12: a row and its copy
+    both start at or below eps, and once the first goes the second must
+    stay wherever the row is on the envelope."""
+    monkeypatch.setattr(solver, "_LP_BATCH_BYTES", budget)
+    rng = np.random.default_rng(34)
+    dropped = revived = 0
+    for _ in range(30):
+        x = int(rng.integers(2, 5))
+        base = rng.uniform(-1.0, 1.0, (int(rng.integers(3, 20)), x))
+        cands = np.vstack([base, base[:3] + 1e-12])
+        in_r = rng.random(cands.shape[0]) < 0.7
+        in_r[:3] = in_r[-3:] = True
+        pending = np.flatnonzero(in_r & (rng.random(in_r.size) < 0.6))
+        pending = np.union1d(pending, [0, 1, 2, *range(len(cands) - 3,
+                                                        len(cands))])
+        expected = in_r.copy()
+        for idx in pending:
+            others = np.flatnonzero(expected)
+            others = others[others != idx]
+            if others.size and _batch_margins(
+                    cands[idx:idx + 1], cands[others])[0][0] <= 1e-10:
+                expected[idx] = False
+            elif idx >= len(base):
+                revived += 1
+        solver._retest_forced(cands, in_r, pending, 1e-10)
+        assert np.array_equal(in_r, expected)
+        dropped += int((~in_r[pending]).sum())
+    assert dropped and revived
 
 
 def test_batch_margins_match_vertex_oracle():
@@ -498,7 +553,7 @@ def test_myopic_crossing_on_ex1():
 
 def test_gamma_monotone_report_on_exact_solve():
     vf = solve_exact(gen_example("ex1"), horizon=5)
-    report = gamma_monotone_report(vf, tol=1e-10)
+    report = gamma_monotone_report(vf)
     assert report["fully_increasing"]
     assert report["num_vectors"] == vf.num_vectors
 

@@ -7,22 +7,21 @@ import numpy as np
 import pytest
 
 from pomdpcheck import (assumption_report, compare_models, gen_example,
-                        make_model, psi, psi_sweep,
-                        reward_shift_controlled, slack_budget, solve_exact,
-                        solve_for_verification, solve_grid, verification_report,
+                        make_model, psi_sweep, slack_budget, solve_exact,
+                        solve_grid, verification_report,
                         verify_policy_dominance, verify_q_diff_monotone,
                         verify_range_containment,
                         verify_value_monotone_convex)
 from pomdpcheck.model import belief_grid
 from pomdpcheck.solver import _residual_sweeps
+from pomdpcheck.structural import PSI_LAMBDA_POINTS
 
 from oracles import psi_sweep_oracle, random_model, range_failures_oracle
 
 
 @pytest.fixture(scope="module")
 def ex1_small(ex1):
-    return solve_for_verification(ex1, method="grid", resolution=30,
-                                  horizon=60)
+    return solve_grid(ex1, resolution=30, horizon=60)
 
 
 # ---------------------------------------------------------------------------
@@ -83,20 +82,27 @@ def test_residual_sweep_count(ex1):
 
 
 def test_solve_for_verification_modes(ex1):
-    vf = solve_for_verification(ex1, method="grid", resolution=10, horizon=5)
-    assert vf.iterations == 5
-    vf = solve_for_verification(ex1, method="grid", resolution=10,
-                                residual=1e-4)
-    direct = solve_grid(ex1, resolution=10, residual=1e-4)
-    assert np.array_equal(vf.values, direct.values)
-    assert np.array_equal(vf.vectors, direct.vectors)
-    assert vf.iterations == direct.iterations == _residual_sweeps(ex1, 1e-4)
-    vf = solve_for_verification(ex1, method="exact", resolution=10, horizon=2)
-    assert vf.horizon == 2
+    """``verification_report`` measures the solve its ``method`` names,
+    with the given resolution and stop rule."""
+    for method, solve, stop in (("grid", solve_grid, {"horizon": 5}),
+                                ("grid", solve_grid, {"residual": 1e-4}),
+                                ("exact", solve_exact, {"horizon": 2})):
+        report = verification_report(ex1, method=method, resolution=10,
+                                     **stop)
+        direct = solve(ex1, resolution=10, **stop)
+        assert report["method"] == method
+        assert report["achieved_residual"] == direct.residual
+        assert report["value_shape"] == verify_value_monotone_convex(direct)
+        assert report["theorem1"]["dominance"] == verify_policy_dominance(
+            ex1, direct, resolution=10, slack=report["slack"])
+    assert solve_grid(ex1, resolution=10, horizon=5).iterations == 5
+    assert solve_grid(ex1, resolution=10, residual=1e-4).iterations == \
+        _residual_sweeps(ex1, 1e-4)
+    assert solve_exact(ex1, resolution=10, horizon=2).horizon == 2
+    with pytest.raises(KeyError):
+        verification_report(ex1, method="nope", resolution=10, horizon=2)
     with pytest.raises(ValueError):
-        solve_for_verification(ex1, method="nope", resolution=10, horizon=2)
-    with pytest.raises(ValueError):
-        solve_for_verification(ex1, method="grid", resolution=10)
+        solve_grid(ex1, resolution=10)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +121,7 @@ def test_policy_dominance_flags_engineered_violation():
     # a negative slack makes the tolerance band unsatisfiable, so every
     # belief is flagged; this exercises the violation records end to end
     m = gen_example("ex1")
-    vf = solve_for_verification(m, method="grid", resolution=10, horizon=20)
+    vf = solve_grid(m, resolution=10, horizon=20)
     report = verify_policy_dominance(m, vf, resolution=10, slack=-1.0)
     assert report["violations"]
     first = report["violations"][0]
@@ -140,7 +146,7 @@ def test_q_diff_single_action_vacuous():
                    transition=[[0.7, 0.3], [0.4, 0.6]],
                    observation=[[[0.9, 0.1], [0.2, 0.8]]],
                    reward=[[0.0, 1.0]])
-    vf = solve_for_verification(m, method="exact", resolution=5, horizon=3)
+    vf = solve_exact(m, resolution=5, horizon=3)
     report = verify_q_diff_monotone(m, vf, resolution=5)
     assert report["min_margin_per_pair"] == []
     assert report["min_margin"] is None
@@ -152,12 +158,11 @@ def test_q_diff_single_action_vacuous():
 
 def test_psi_endpoints_vanish(ex1):
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        pi = rng.dirichlet(np.ones(3))
-        assert psi(ex1, pi, 0, 1, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert psi(ex1, pi, 0, 1, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert psi(ex1, pi, 0, 1, -0.5) == pytest.approx(0.0, abs=1e-12)
-        assert psi(ex1, pi, 0, 1, 1.5) == pytest.approx(0.0, abs=1e-12)
+    beliefs = [rng.dirichlet(np.ones(3)) for _ in range(20)]
+    sweep = psi_sweep(ex1, beliefs)
+    assert sweep["num_beliefs"] == 20
+    assert sweep["max_abs_psi_at_0"] <= 1e-12
+    assert sweep["max_abs_psi_at_1"] <= 1e-12
 
 
 def test_psi_nonnegative_on_ex1(ex1):
@@ -187,8 +192,9 @@ def test_tail_sweeps_match_per_belief_oracles():
     failing = passing = 0
     for m in models:
         beliefs = rng.dirichlet(np.ones(m.num_states), size=60)
-        sweep = psi_sweep(m, beliefs, num_lambda=41)
-        minima, end_low, end_high = psi_sweep_oracle(m, beliefs, 41)
+        sweep = psi_sweep(m, beliefs)
+        minima, end_low, end_high = psi_sweep_oracle(m, beliefs,
+                                                     PSI_LAMBDA_POINTS)
         assert np.abs(sweep["minima"] - minima).max() <= 1e-15
         assert abs(sweep["max_abs_psi_at_0"] - np.abs(end_low).max()) <= 1e-15
         assert abs(sweep["max_abs_psi_at_1"] - np.abs(end_high).max()) <= 1e-15
@@ -208,14 +214,7 @@ def test_psi_requires_shared_transition():
     rng = np.random.default_rng(2)
     m = random_model(rng, 3, 3, 2, shared=False)
     with pytest.raises(ValueError):
-        psi(m, [0.3, 0.3, 0.4], 0, 1, 0.5)
-    with pytest.raises(ValueError):
         psi_sweep(m, [[0.3, 0.3, 0.4]])
-
-
-def test_psi_action_index_validation(ex1):
-    with pytest.raises(ValueError):
-        psi(ex1, [0.3, 0.3, 0.4], 0, 2, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +279,11 @@ def test_value_shape_flags_nonmonotone_envelope():
 # ---------------------------------------------------------------------------
 
 def test_reward_shift_preserves_optimal_actions(ex1):
-    _, shifted, _ = reward_shift_controlled(ex1)
+    # a state potential common to all actions, steep enough to make every
+    # reward row increasing: 3.6 = reward spread + 1
+    delta = 3.6 * np.arange(1.0, 4.0)
+    shifted = make_model("ex1_shifted", ex1.discount, ex1.transition,
+                         ex1.observation, ex1.reward + delta)
     pts = belief_grid(3, 12)
     vf_a = solve_exact(ex1, horizon=6)
     vf_b = solve_exact(shifted, horizon=6)
