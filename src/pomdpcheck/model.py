@@ -203,16 +203,19 @@ def reward_shift_general(m: PomdpModel) -> dict:
     """Search for a state potential f making (I - discount P(u)) f strictly
     increasing for every action, via LP feasibility with margin SHIFT_MARGIN.
 
-    Returns the dict ``check`` prints: ``"status"`` (feasible, infeasible or
+    The LP is rows f - s = SHIFT_MARGIN in standard form: the free f splits
+    into f+ - f- and the surplus s >= 0 takes up the inequality.  Returns
+    the dict ``check`` prints: ``"status"`` (feasible, infeasible or
     numerical_failure, kept distinct) and the potential ``"f"`` as a list.
     """
     rows = _shift_rows(m)
     if rows.size == 0:
         return {"status": "feasible", "f": [0.0] * m.num_states}
-    outcome = lp.lp_solve(g_ub=-rows, h_ub=np.full(len(rows), -SHIFT_MARGIN),
-                          free=np.ones(m.num_states, dtype=bool))
+    outcome = lp.lp_solve(np.hstack([rows, -rows, -np.eye(len(rows))]),
+                          np.full(len(rows), SHIFT_MARGIN))
     if outcome.status == lp.FEASIBLE:
-        return {"status": "feasible", "f": outcome.x.tolist()}
+        f_pos, f_neg = np.split(outcome.x[:2 * m.num_states], 2)
+        return {"status": "feasible", "f": (f_pos - f_neg).tolist()}
     if outcome.status == lp.INFEASIBLE:
         return {"status": "infeasible", "f": None}
     return {"status": "numerical_failure", "f": None}

@@ -279,6 +279,19 @@ def _lp_chunk(num_refs: int, num_states: int) -> int:
         8 * (num_states + 1) * (num_refs + num_states + 1))))
 
 
+def _margins(cands: np.ndarray, refs: np.ndarray):
+    """:func:`_batch_margins` of each candidate against the shared (R, X)
+    set ``refs``, in batches of :func:`_lp_chunk` candidates."""
+    margins = np.empty(cands.shape[0])
+    witnesses = np.empty(cands.shape)
+    chunk = _lp_chunk(refs.shape[0], cands.shape[1])
+    for start in range(0, cands.shape[0], chunk):
+        stop = start + chunk
+        margins[start:stop], witnesses[start:stop] = \
+            _batch_margins(cands[start:stop], refs)
+    return margins, witnesses
+
+
 def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     """Ascending indices of the vectors forming the upper envelope.
 
@@ -306,8 +319,7 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     if n_input <= 1:
         return np.arange(n_input)
 
-    _, first_idx = np.unique(cands, axis=0, return_index=True)
-    dedup = np.sort(first_idx)
+    dedup = np.sort(_unique_rows(cands)[1])
     cands_u = cands[dedup]
     if dedup.size == 1:
         return dedup
@@ -357,13 +369,7 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
             if not pool:
                 break
 
-        chunk = _lp_chunk(refs.shape[0], num_states)
-        margins = np.empty(len(pool))
-        witnesses = np.empty((len(pool), num_states))
-        for start in range(0, len(pool), chunk):
-            part = pool[start:start + chunk]
-            margins[start:start + len(part)], witnesses[start:start + len(part)] = \
-                _batch_margins(cands_u[part], refs)
+        margins, witnesses = _margins(cands_u[pool], refs)
 
         survivors: list[int] = []
         surv_pos: list[int] = []
@@ -478,8 +484,8 @@ def _sup_residual(new_vectors: np.ndarray, old_vectors: np.ndarray) -> float:
     set and vice versa, so two batched margin calls certify the sup norm
     over the whole simplex.
     """
-    up, _ = _batch_margins(new_vectors, old_vectors)
-    down, _ = _batch_margins(old_vectors, new_vectors)
+    up, _ = _margins(new_vectors, old_vectors)
+    down, _ = _margins(old_vectors, new_vectors)
     return float(max(up.max(), down.max(), 0.0))
 
 

@@ -42,7 +42,6 @@ SHAPE_POINTS = 21
 RANGE_TOL = 1e-10
 DEFAULT_RESOLUTION = 100
 DEFAULT_RESIDUAL = 1e-8
-PSI_LAMBDA_POINTS = 201
 
 
 # ---------------------------------------------------------------------------
@@ -257,51 +256,44 @@ def _posterior_tails(m: PomdpModel, beliefs: np.ndarray):
 
 
 def psi_sweep(m: PomdpModel, beliefs) -> dict:
-    """Minimum of psi over a lambda sweep, per belief and action pair.
+    """Minimum of psi over lambda in [0, 1], per belief and action pair.
 
     psi(lam) = sum_y [tail - lam]+ sigma at the higher action of a pair
     minus the same sum at the lower one (tail: last coordinate of the
     normalized posterior; sigma: observation probability), predicted >= 0.
 
-    Evaluates psi, for all beliefs at once, on the uniform [0, 1] grid of
-    PSI_LAMBDA_POINTS points plus the exact breakpoints tail / sigma of
-    each (belief, pair); since psi is piecewise linear in lambda, grid plus
-    breakpoints is exhaustive.  A breakpoint of an observation with
-    sigma = 0 is parked at lambda = 0, which the grid already holds.
-    Returns the minima matrix (num_beliefs, num_pairs), the overall minimum,
-    the per-pair minima and the largest endpoint values |psi(0)| and
-    |psi(1)|, which must vanish.  Belief rows are validated (ValueError on a
-    wrong width, a non-finite or negative entry, or a row sum off 1).
+    Each term is linear in lambda except at its breakpoint tail / sigma,
+    which lies in [0, 1], so psi is piecewise linear there and its minimum
+    falls at 0, at 1 or at a breakpoint.  Evaluates psi, for all beliefs at
+    once, at exactly those points; a breakpoint of an observation with
+    sigma = 0 is parked at lambda = 0.  Returns the minima matrix
+    (num_beliefs, num_pairs), the overall minimum, the per-pair minima and
+    the largest endpoint values |psi(0)| and |psi(1)|, which must vanish.
+    Belief rows are validated (ValueError on a wrong width, a non-finite or
+    negative entry, or a row sum off 1).
     """
     if not m.shared_transition:
         raise ValueError("psi_sweep requires a shared transition matrix")
     pts = _belief_rows(beliefs, m.num_states)
     tails, sigmas, breaks = _posterior_tails(m, pts)
-    num_pairs = m.num_actions - 1
-    base = np.broadcast_to(np.linspace(0.0, 1.0, PSI_LAMBDA_POINTS),
-                           (pts.shape[0], PSI_LAMBDA_POINTS))
-    minima = np.empty((pts.shape[0], num_pairs))
-    end_low = np.empty((pts.shape[0], num_pairs))
-    end_high = np.empty((pts.shape[0], num_pairs))
-    for p in range(num_pairs):
-        lams = np.concatenate([base, breaks[:, p], breaks[:, p + 1]], axis=1)
+    # Per (belief, pair): lambda = 0, 1 and the breakpoints of both actions.
+    ends = np.broadcast_to([0.0, 1.0], (pts.shape[0], m.num_actions - 1, 2))
+    lams = np.concatenate([ends, breaks[:, :-1], breaks[:, 1:]], axis=2)
 
-        def piece(u):
-            clipped = np.maximum(tails[:, u, None, :]
-                                 - lams[:, :, None] * sigmas[:, u, None, :],
-                                 0.0)                      # (N, L, Y)
-            return clipped.sum(axis=2)
-        values = piece(p + 1) - piece(p)
-        minima[:, p] = values.min(axis=1)
-        end_low[:, p] = values[:, 0]
-        end_high[:, p] = values[:, PSI_LAMBDA_POINTS - 1]
+    def piece(us):
+        clipped = np.maximum(tails[:, us, None, :]
+                             - lams[..., None] * sigmas[:, us, None, :],
+                             0.0)                          # (N, P, L, Y)
+        return clipped.sum(axis=3)
+    values = piece(slice(1, None)) - piece(slice(None, -1))
+    minima = values.min(axis=2)
+    end_low, end_high = values[..., 0], values[..., 1]
     return {
         "minima": minima,
         "min": float(minima.min()) if minima.size else None,
         "minima_per_pair": minima.min(axis=0).tolist() if minima.size else [],
         "max_abs_psi_at_0": float(np.abs(end_low).max()) if end_low.size else 0.0,
         "max_abs_psi_at_1": float(np.abs(end_high).max()) if end_high.size else 0.0,
-        "num_lambda": PSI_LAMBDA_POINTS,
         "num_beliefs": int(pts.shape[0]),
     }
 

@@ -23,8 +23,8 @@ from pomdpcheck.cli import main
 
 from oracles import (copositive2_closed_form, copositive3_closed_form,
                      copositive_grid_oracle, expectimax_values, mlr_oracle,
-                     random_belief, random_model, random_stochastic,
-                     tp2_oracle)
+                     psi_sweep_oracle, random_belief, random_model,
+                     random_stochastic, tp2_oracle)
 
 RESIDUAL = 1e-8
 Q_SLACK = 2.0 * RESIDUAL / 0.1          # comparison budget at discount 0.9
@@ -126,7 +126,10 @@ def test_criterion_05_psi_sweep(ex1, ex2):
         beliefs = rng.dirichlet(np.ones(3), size=200)
         sweep = psi_sweep(m, beliefs)
         assert sweep["num_beliefs"] == 200
-        assert sweep["num_lambda"] == 201
+        # psi is piecewise linear with its breakpoints in [0, 1], so a fine
+        # uniform grid cannot find a lower value than the breakpoints do
+        oracle_minima = psi_sweep_oracle(m, beliefs, 2001)[0]
+        assert np.abs(sweep["minima"] - oracle_minima).max() <= 1e-15
         assert sweep["min"] >= -1e-9
         assert sweep["max_abs_psi_at_0"] <= 1e-12
         assert sweep["max_abs_psi_at_1"] <= 1e-12

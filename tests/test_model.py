@@ -12,7 +12,8 @@ from pomdpcheck import (ModelFormatError, belief_grid, gen_example,
                         load_model, loads_model, make_model, model_to_json,
                         psi_sweep, reward_shift_general, save_model,
                         solve_grid, validate_model, verify_range_containment)
-from pomdpcheck.model import _belief_rows
+from pomdpcheck.lp import FEAS_TOL
+from pomdpcheck.model import SHIFT_MARGIN, _belief_rows
 from pomdpcheck.structural import _posterior_tails
 
 from oracles import compositions_oracle, random_model
@@ -138,6 +139,33 @@ def test_reward_shift_general_feasible_on_bundled():
     shift = reward_shift_general(gen_example("ex1"))
     assert shift["status"] == "feasible"
     assert shift["f"] is not None
+
+
+def test_reward_shift_general_matches_highs_on_random_kernels():
+    """The shift's verdict against SciPy's HiGHS on rows f >= SHIFT_MARGIN
+    with f free, rows being the consecutive differences of I - 0.95 P(u),
+    on seeded 3-state models: Dirichlet(0.3) transition rows, identity
+    sensors.  Both verdicts occur (41 of the 500 are infeasible), and every
+    potential returned meets each row within FEAS_TOL."""
+    from scipy.optimize import linprog
+    rng = np.random.default_rng(0)
+    seen = {"feasible": 0, "infeasible": 0}
+    for _ in range(500):
+        transition = rng.dirichlet(np.full(3, 0.3), size=(2, 3))
+        m = make_model(name="random", discount=0.95, transition=transition,
+                       observation=np.tile(np.eye(3), (2, 1, 1)),
+                       reward=rng.uniform(-1.0, 2.0, (2, 3)))
+        rows = np.vstack([np.diff(np.eye(3) - 0.95 * p, axis=0)
+                          for p in transition])
+        ref = linprog(np.zeros(3), A_ub=-rows,
+                      b_ub=np.full(len(rows), -SHIFT_MARGIN),
+                      bounds=[(None, None)] * 3, method="highs")
+        shift = reward_shift_general(m)
+        assert shift["status"] == {0: "feasible", 2: "infeasible"}[ref.status]
+        if shift["f"] is not None:
+            assert (rows @ shift["f"]).min() >= SHIFT_MARGIN - FEAS_TOL
+        seen[shift["status"]] += 1
+    assert min(seen.values()) > 0, seen
 
 
 # ---------------------------------------------------------------------------

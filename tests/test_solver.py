@@ -168,6 +168,26 @@ def test_forced_vectors_are_retested_in_batches(monkeypatch):
     assert single <= 60
 
 
+def test_margin_tableaus_stay_within_the_batch_budget(monkeypatch):
+    """Every margin-LP batch, the sup-norm residual's included, builds a
+    tableau of at most _LP_BATCH_BYTES.  Unbatched residual calls built
+    2 221 824 bytes on ex1 at horizon 11 and 4 436 640 on tridiagonal-4 at
+    horizon 7."""
+    sizes = []
+    batch_margins = solver._batch_margins
+
+    def measuring(cands, refs):
+        cands, refs = np.atleast_2d(cands), np.atleast_2d(refs)
+        x = cands.shape[1]
+        sizes.append(8 * cands.shape[0] * (x + 1) * (refs.shape[0] + x + 1))
+        return batch_margins(cands, refs)
+
+    monkeypatch.setattr(solver, "_batch_margins", measuring)
+    solve_exact(gen_example("ex1"), horizon=11)
+    solve_exact(gen_example("tridiagonal", num_states=4), horizon=7)
+    assert sizes and max(sizes) <= solver._LP_BATCH_BYTES
+
+
 # A one-byte budget puts each forced vector in a group of its own.
 @pytest.mark.parametrize("budget", [solver._LP_BATCH_BYTES, 1])
 def test_retest_forced_matches_one_at_a_time(monkeypatch, budget):

@@ -14,7 +14,6 @@ from pomdpcheck import (assumption_report, compare_models, gen_example,
                         verify_value_monotone_convex)
 from pomdpcheck.model import belief_grid
 from pomdpcheck.solver import _residual_sweeps
-from pomdpcheck.structural import PSI_LAMBDA_POINTS
 
 from oracles import psi_sweep_oracle, random_model, range_failures_oracle
 
@@ -193,8 +192,7 @@ def test_tail_sweeps_match_per_belief_oracles():
     for m in models:
         beliefs = rng.dirichlet(np.ones(m.num_states), size=60)
         sweep = psi_sweep(m, beliefs)
-        minima, end_low, end_high = psi_sweep_oracle(m, beliefs,
-                                                     PSI_LAMBDA_POINTS)
+        minima, end_low, end_high = psi_sweep_oracle(m, beliefs, 201)
         assert np.abs(sweep["minima"] - minima).max() <= 1e-15
         assert abs(sweep["max_abs_psi_at_0"] - np.abs(end_low).max()) <= 1e-15
         assert abs(sweep["max_abs_psi_at_1"] - np.abs(end_high).max()) <= 1e-15
