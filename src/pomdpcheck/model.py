@@ -82,6 +82,9 @@ class PomdpModel:
             raise ModelFormatError(f"observation shape {o.shape} != {(u, x, y)}")
         if r.shape != (u, x):
             raise ModelFormatError(f"reward shape {r.shape} != {(u, x)}")
+        discount = float(self.discount)
+        if not np.isfinite(discount):
+            raise ModelFormatError(f"discount {discount} is not finite")
         for arr, label in ((t, "transition"), (o, "observation"), (r, "reward")):
             if not np.isfinite(arr).all():
                 raise ModelFormatError(f"{label} contains non-finite entries")
@@ -90,7 +93,7 @@ class PomdpModel:
         object.__setattr__(self, "transition", _readonly(t))
         object.__setattr__(self, "observation", _readonly(o))
         object.__setattr__(self, "reward", _readonly(r))
-        object.__setattr__(self, "discount", float(self.discount))
+        object.__setattr__(self, "discount", discount)
 
 
 def make_model(name, discount, transition, observation, reward,
@@ -225,13 +228,6 @@ def reward_shift_general(m: PomdpModel) -> dict:
 # JSON model files
 
 
-def _json_matrix(obj, name):
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 2:
-        raise ModelFormatError(f"{name} must be a matrix")
-    return arr
-
-
 def loads_model(text: str) -> PomdpModel:
     """Parse a model from its JSON document; numbers become 64-bit floats."""
     try:
@@ -255,31 +251,19 @@ def loads_model(text: str) -> PomdpModel:
             set(transition) not in ({"shared"}, {"per_action"}):
         raise ModelFormatError('transition must be {"shared": ...} or {"per_action": ...}')
     try:
-        if "shared" in transition:
-            tr = _json_matrix(transition["shared"], "transition")
-            shared = True
-        else:
-            tr = np.asarray(transition["per_action"], dtype=float)
-            if tr.ndim != 3:
-                raise ModelFormatError("per_action transition must be a list of matrices")
-            shared = bool(u == 1 or (tr == tr[0]).all())
+        tr = np.asarray(transition.get("shared", transition.get("per_action")),
+                        dtype=float)
         obs = np.asarray(observation, dtype=float)
         rew = np.asarray(reward, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad array field: {exc}") from exc
-    if obs.ndim != 3:
-        raise ModelFormatError("observation must be a list of U matrices")
-    if rew.ndim != 2:
-        raise ModelFormatError("reward must be a list of U vectors")
     if obs.shape != (u, x, y):
         raise ModelFormatError(f"observation shape {obs.shape} != {(u, x, y)}")
-    if rew.shape != (u, x):
-        raise ModelFormatError(f"reward shape {rew.shape} != {(u, x)}")
-    expected = (x, x) if shared and "shared" in transition else (u, x, x)
+    expected = (x, x) if "shared" in transition else (u, x, x)
     if tr.shape != expected:
         raise ModelFormatError(f"transition shape {tr.shape} != {expected}")
     return make_model(name=name, discount=discount, transition=tr,
-                      observation=obs, reward=rew, shared_transition=shared)
+                      observation=obs, reward=rew)
 
 
 def load_model(path) -> PomdpModel:

@@ -8,15 +8,16 @@ on a coarse grid, the warm start for the exact solver's residual mode.
 
 Every envelope evaluation (grid backup, Q-values, values at points, the
 pruner's top-two test) scores beliefs against all vectors through
-:func:`_score_blocks`, in blocks of at most 128 beliefs, fewer when there are
-many vectors, so each product stays on one BLAS thread.  No beliefs x vectors
-matrix is built, and the Q that verification measures is bit for bit the
-grid backup's.
+:func:`_score_blocks`, in blocks of as many beliefs as keep each product
+within _GEMM_BUDGET multiply-adds, so it stays on one BLAS thread.  No
+beliefs x vectors matrix is built, and the Q that verification measures
+is bit for bit the grid backup's.
 
 Pruning relies on a batched game-value LP: the margin of a candidate vector
 against a reference set is the value of a matrix game whose rows are states
 and whose columns are reference vectors, solved in shifted dual form so no
-phase-1 start is ever needed.
+phase-1 start is ever needed.  The pruner holds its candidate sets as
+boolean masks and ascending index arrays over the distinct input vectors.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ GAMMA_TOL = 1e-10
 CROSS_SUM_CAP = 100_000
 EXACT_MAX_ITER = 100_000  # margin LPs resolve a residual only to about 1e-9
 _WARM_START_RESOLUTION = 20  # grid of the exact residual mode's warm start
+_EXACT_GRID_POINTS = 20_000  # most points of that grid and the history grid
 
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _NO_ROW = np.iinfo(np.int64).max  # tie-break filler: never the smallest basis index
-_POINT_BLOCK = 128  # most beliefs per score block
 # Multiply-adds per score block.  OpenBLAS 0.3.31 splits a GEMM over two
 # threads once m*n*k >= 2**19 (measured: 524 160 ran on one thread, 524 544
 # on two); for products this small the second thread mostly waits, so blocks
@@ -60,14 +61,14 @@ class CapacityError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _score_blocks(points: np.ndarray, rows: np.ndarray):
-    """Yield (start, points[start:start + b] @ rows.T) for blocks of at most
-    _POINT_BLOCK points, fewer when there are many rows, so that each
-    product makes at most _GEMM_BUDGET multiply-adds and stays on one BLAS
-    thread.  Each block is written over the last in one buffer allocated
-    per call: fresh blocks past the mmap threshold are mapped and faulted
-    in anew, which can cost as much as the products."""
+    """Yield (start, points[start:start + b] @ rows.T) for blocks of b
+    points, as many as keep each product within _GEMM_BUDGET multiply-adds
+    (at least one), so that it stays on one BLAS thread.  Each block is
+    written over the last in one buffer allocated per call: fresh blocks
+    past the mmap threshold are mapped and faulted in anew, which can cost
+    as much as the products."""
     num_points, num_rows = points.shape[0], rows.shape[0]
-    block = max(1, min(_POINT_BLOCK, _GEMM_BUDGET // max(1, rows.size)))
+    block = max(1, _GEMM_BUDGET // max(1, rows.size))
     work = np.empty(min(block, num_points) * num_rows)
     for start in range(0, num_points, block):
         stop = min(start + block, num_points)
@@ -329,80 +330,58 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     grid = belief_grid(cands.shape[1],
                        capped_resolution(cands.shape[1], 40, 15_000))
     top, top_vals, second = _streaming_top2(cands_u, grid)
-    certified = np.unique(top[top_vals - second > eps])
-
     in_r = np.zeros(n, dtype=bool)
-    in_r[certified] = True
-    forced: list[int] = []
+    in_r[top[top_vals - second > eps]] = True
+    forced = np.zeros(n, dtype=bool)
     if not in_r.any():
-        seed = int(np.argmax(cands_u.sum(axis=1)))
-        in_r[seed] = True
-        forced.append(seed)
+        seed = np.argmax(cands_u.sum(axis=1))
+        in_r[seed] = forced[seed] = True
     removed = np.zeros(n, dtype=bool)
-    pool = [i for i in range(n) if not in_r[i]]
+    pool = np.flatnonzero(~in_r)     # always the vectors in neither mask
 
     num_states = cands.shape[1]
-    while pool:
+    while pool.size:
         refs = cands_u[in_r]
-        progress = False
+        pool_size = pool.size
 
         # Cheap sound pre-drop: the margin against the set is at most the
         # margin against any single member, min_w max_i (v_i - w_i), so
         # anything that bound already kills never needs an LP.  The max over
         # coordinates is a running maximum of (n, R) difference slices.
-        pool_arr = np.asarray(pool)
-        upper = np.empty(pool_arr.size)
+        upper = np.empty(pool.size)
         refs_t = refs.T                                      # (X, R)
-        for start in range(0, pool_arr.size, 8192):
-            part_t = cands_u[pool_arr[start:start + 8192]].T  # (X, n)
+        for start in range(0, pool.size, 8192):
+            part_t = cands_u[pool[start:start + 8192]].T     # (X, n)
             gaps = np.subtract.outer(part_t[0], refs_t[0])   # (n, R)
             diff = np.empty_like(gaps)
             for i in range(1, num_states):
                 np.subtract.outer(part_t[i], refs_t[i], out=diff)
                 np.maximum(gaps, diff, out=gaps)
             upper[start:start + gaps.shape[0]] = gaps.min(axis=1)
-        cheap_drop = upper <= eps
-        if cheap_drop.any():
-            removed[pool_arr[cheap_drop]] = True
-            progress = True
-            pool = [int(i) for i in pool_arr[~cheap_drop]]
-            if not pool:
-                break
+        removed[pool[upper <= eps]] = True
+        pool = pool[upper > eps]
 
         margins, witnesses = _margins(cands_u[pool], refs)
+        live = margins > eps
+        removed[pool[~live]] = True
+        survivors = pool[live]
 
-        survivors: list[int] = []
-        surv_pos: list[int] = []
-        for pos, idx in enumerate(pool):
-            if margins[pos] <= eps:
-                removed[idx] = True
-                progress = True
-            else:
-                survivors.append(idx)
-                surv_pos.append(pos)
-
-        if survivors:
+        if survivors.size:
             alive = np.flatnonzero(~removed)
-            w_idx, w_val, w_sec = _streaming_top2(
-                cands_u[alive], witnesses[surv_pos])
+            w_idx, w_val, w_sec = _streaming_top2(cands_u[alive],
+                                                  witnesses[live])
             winners = alive[w_idx]
-            new = np.unique(winners[~in_r[winners]])
             in_r[winners[w_val - w_sec > eps]] = True
-            tied = new[~in_r[new]]
-            in_r[tied] = True
-            forced.extend(tied.tolist())
-            progress = progress or new.size > 0
+            tied = winners[~in_r[winners]]
+            in_r[tied] = forced[tied] = True
 
-        pool = [idx for idx in survivors if not in_r[idx]]
+        pool = survivors[~in_r[survivors]]
+        if pool.size == pool_size:       # nothing dropped, nothing admitted
+            forced_id = survivors[np.argmax(margins[live])]
+            in_r[forced_id] = forced[forced_id] = True
+            pool = pool[pool != forced_id]
 
-        if pool and not progress:
-            t_best = int(np.argmax(margins[surv_pos]))
-            forced_id = survivors[t_best]
-            in_r[forced_id] = True
-            forced.append(forced_id)
-            pool.remove(forced_id)
-
-    _retest_forced(cands_u, in_r, np.unique(forced), eps)
+    _retest_forced(cands_u, in_r, np.flatnonzero(forced), eps)
     return dedup[np.flatnonzero(in_r)]
 
 
@@ -518,36 +497,33 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
     grid solver is the practical alternative.
     """
     _mode_or_error(horizon, residual)
-    grid_res = capped_resolution(m.num_states, resolution, 20_000)
     if horizon is not None:
-        vf = ExactVF(vectors=np.zeros((1, m.num_states)),
-                     actions=np.zeros(1, dtype=int), horizon=0)
+        vectors, actions = np.zeros((1, m.num_states)), np.zeros(1, dtype=int)
         steps = int(horizon)
     else:
         seed = solve_grid(m, residual=residual, resolution=capped_resolution(
-            m.num_states, _WARM_START_RESOLUTION, 20_000))
+            m.num_states, _WARM_START_RESOLUTION, _EXACT_GRID_POINTS))
         kept = _prune_arrays(seed.vectors, PRUNE_EPS)
-        vf = ExactVF(vectors=seed.vectors[kept], actions=seed.actions[kept],
-                     horizon=0)
+        vectors, actions = seed.vectors[kept], seed.actions[kept]
         steps = EXACT_MAX_ITER
-    history_grid = belief_grid(m.num_states, grid_res)
-    grid_values = vf.values_at(history_grid)
+    history_grid = belief_grid(m.num_states, capped_resolution(
+        m.num_states, resolution, _EXACT_GRID_POINTS))
+    grid_values = _best_rows(history_grid, vectors)[1]
     residuals: list[float] = []
     grid_residuals: list[float] = []
-    while vf.horizon < steps:
-        vectors, actions = _backup_arrays(m, vf.vectors)
-        new = ExactVF(vectors=vectors, actions=actions, horizon=vf.horizon + 1)
-        new_values = new.values_at(history_grid)
-        residuals.append(_sup_residual(new.vectors, vf.vectors))
+    while len(residuals) < steps:
+        new_vectors, actions = _backup_arrays(m, vectors)
+        new_values = _best_rows(history_grid, new_vectors)[1]
+        residuals.append(_sup_residual(new_vectors, vectors))
         grid_residuals.append(float(np.abs(new_values - grid_values).max()))
-        vf, grid_values = new, new_values
+        vectors, grid_values = new_vectors, new_values
         if residual is not None and \
                 max(residuals[-1], grid_residuals[-1]) <= residual:
             break
     else:
         if residual is not None:
             raise ArithmeticError("exact value iteration failed to converge")
-    return ExactVF(vectors=vf.vectors, actions=vf.actions, horizon=vf.horizon,
+    return ExactVF(vectors=vectors, actions=actions, horizon=len(residuals),
                    residuals=tuple(residuals),
                    grid_residuals=tuple(grid_residuals))
 

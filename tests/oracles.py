@@ -266,7 +266,9 @@ def point_backup_q(m: PomdpModel, vectors: np.ndarray,
     """Per-action Q of one belief against a fixed set of alpha vectors.
 
     Q_u(pi) = r_u'pi + sum_y max_alpha rho * alpha'(B_u[:, y] * P_u'pi),
-    evaluated with explicit loops over actions, observations and vectors.
+    evaluated with explicit loops over actions and observations, one
+    belief at a time: the belief is pushed forward and weighted before it
+    meets the vectors, where the solver back-projects the vectors instead.
     """
     q = np.empty(m.num_actions)
     for u in range(m.num_actions):
@@ -274,8 +276,7 @@ def point_backup_q(m: PomdpModel, vectors: np.ndarray,
         total = float(m.reward[u] @ probs)
         for y in range(m.num_obs):
             weighted = m.observation[u][:, y] * predicted
-            total += max(m.discount * float(alpha @ weighted)
-                         for alpha in vectors)
+            total += float((m.discount * (vectors @ weighted)).max())
         q[u] = total
     return q
 

@@ -61,6 +61,22 @@ def test_malformed_json_exits_two(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_discount_exits_two(capsys, tmp_path, literal):
+    """A discount that JSON spells NaN or Infinity is refused before any
+    command computes on it; check used to print a report and exit 0."""
+    text = re.sub(r'"discount": [^,]+', f'"discount": {literal}',
+                  model_to_json(gen_example("ex1")))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (["check"], ["validate"], ["solve", "--grid", "5"],
+                 ["verify", "--grid", "5"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not finite" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["check"], ["solve", "--horizon", "4"], ["verify", "--horizon", "20"],
     ["solve", "--method", "grid", "--grid", "10"],

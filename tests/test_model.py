@@ -200,10 +200,39 @@ def test_malformed_json_raises_model_format_error():
         loads_model("{not json")
     with pytest.raises(ModelFormatError):
         loads_model(json.dumps({"name": "x"}))
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="reward shape"):
         loads_model(json.dumps({
-            "name": "x", "discount": 0.9,
+            "name": "x", "X": 2, "Y": 1, "U": 1, "discount": 0.9,
             "transition": {"shared": [[1.0, 0.0], [0.0, 1.0]]},
             "observation": [[[1.0], [1.0]]],      # 1 action
             "reward": [[0.0, 1.0], [1.0, 0.0]],   # 2 actions
         }))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reward", [0.0, 1.0, 2.0]),                        # 1-D reward
+    ("transition", {"per_action": [[1.0, 0.0, 0.0],     # 2-D per_action
+                                   [0.0, 1.0, 0.0],
+                                   [0.0, 0.0, 1.0]]}),
+    ("transition", {"shared": [[1.0, 0.0], [0.0, 1.0]]}),  # 2 x 2 for X = 3
+    ("observation", [[[1.0, 0.0]] * 3]),                 # 1 action for U = 2
+], ids=["reward-1d", "per-action-2d", "shared-wrong-size", "observation-u"])
+def test_misshapen_array_raises_model_format_error(field, value):
+    doc = json.loads(model_to_json(gen_example("ex1")))
+    doc[field] = value
+    with pytest.raises(ModelFormatError, match="shape"):
+        loads_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("discount", [np.nan, np.inf, -np.inf])
+def test_non_finite_discount_raises_model_format_error(discount):
+    """Python's json parses NaN and Infinity, so the model itself refuses a
+    discount that is not finite, whichever way it is built."""
+    m = gen_example("ex1")
+    with pytest.raises(ModelFormatError, match="discount .* is not finite"):
+        make_model(name="bad", discount=discount, transition=m.transition,
+                   observation=m.observation, reward=m.reward)
+    doc = json.loads(model_to_json(m))
+    doc["discount"] = discount
+    with pytest.raises(ModelFormatError, match="discount .* is not finite"):
+        loads_model(json.dumps(doc))                 # writes NaN / Infinity

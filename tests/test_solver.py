@@ -12,7 +12,7 @@ from pomdpcheck import (CapacityError, belief_grid, gen_example,
                         solve_exact, solve_grid, vf_to_dict)
 from pomdpcheck import solver
 from pomdpcheck.cli import main
-from pomdpcheck.solver import (_GEMM_BUDGET, _POINT_BLOCK, ExactVF,
+from pomdpcheck.solver import (_GEMM_BUDGET, ExactVF,
                                _batch_margins, _best_rows, _grid_backup,
                                _lowest_argmax, _q_batch, _residual_sweeps,
                                _streaming_top2, _unique_rows)
@@ -223,6 +223,37 @@ def test_retest_forced_matches_one_at_a_time(monkeypatch, budget):
     assert dropped and revived
 
 
+def test_prune_forces_a_survivor_when_no_round_progresses(monkeypatch):
+    """Every margin reads 1e-9 high here, ten times PRUNE_EPS, as the LP
+    resolves margins only to about that.  A midpoint of two envelope
+    vectors lowered by 5e-10 then survives its LP while one of the two wins
+    at its witness, so a round can drop and admit nothing; only forcing the
+    survivor of largest margin ends the loop, and the envelope stays exact.
+    With true margins every midpoint goes."""
+    rng = np.random.default_rng(37)
+    batch_margins = solver._batch_margins
+
+    def reading_high(cands, refs):
+        margins, witnesses = batch_margins(cands, refs)
+        return margins + 1e-9, witnesses
+
+    forced_midpoints = 0
+    for _ in range(30):
+        x = int(rng.integers(2, 5))
+        base = prune(rng.uniform(-1.0, 1.0, (int(rng.integers(3, 8)), x)))[0]
+        i, j = np.triu_indices(base.shape[0], 1)
+        vectors = np.vstack([base, (base[i] + base[j]) / 2 - 5e-10])
+        assert np.array_equal(prune(vectors)[1], np.arange(base.shape[0]))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_batch_margins", reading_high)
+            pruned, kept = prune(vectors)
+        assert np.abs(envelope_on_grid(pruned, 40)
+                      - envelope_on_grid(vectors, 40)).max() <= 1e-9
+        # a midpoint never wins at any belief, so only the fallback admits it
+        forced_midpoints += int((kept >= base.shape[0]).sum())
+    assert forced_midpoints
+
+
 def test_batch_margins_match_vertex_oracle():
     rng = np.random.default_rng(32)
     for _ in range(30):
@@ -283,9 +314,9 @@ def test_batch_margin_lanes_are_independent(monkeypatch):
 
 def test_streaming_top2_matches_sort_oracle():
     # Integer rows and beliefs in steps of 1/64 make every product exact,
-    # so blockwise and whole-matrix products agree bit for bit.  300 points
-    # span three score blocks; 40 fit in one.  2000 rows shrink the block to
-    # 43 points, leaving a 42-point tail; every other winning row repeats
+    # so blockwise and whole-matrix products agree bit for bit.  Up to 50
+    # rows leave every point in one score block; 2000 rows shrink the block
+    # to 43 points, leaving a 42-point tail; every other winning row repeats
     # after the originals, so ties must break to the lowest index in every
     # block.
     rng = np.random.default_rng(34)
@@ -419,8 +450,9 @@ def test_grid_vertices_only_undiscounted():
 
 
 def test_grid_backup_matches_pointwise_oracle():
-    """Grid 45 (1081 points) spans several score blocks; grid 5 (21 points)
-    is smaller than one block and carries more vectors than points.  Two
+    """Grid 45 (1081 points) spans several score blocks, 81 or more
+    vectors leaving fewer than 1081 points per block; grid 5 (21 points) is
+    smaller than one block and carries more vectors than points.  Two
     calls with a growing carried set check that the second call's score
     buffer leaves the first call's results untouched."""
     rng = np.random.default_rng(42)
@@ -435,16 +467,16 @@ def test_grid_backup_matches_pointwise_oracle():
         return values, alphas, acts
 
     beliefs = belief_grid(3, 45)
-    assert beliefs.shape[0] > _POINT_BLOCK
     for num_obs, num_actions in ((2, 2), (3, 2), (2, 3)):
         m = random_model(rng, 3, num_obs, num_actions)
-        check(m, rng.uniform(-1.0, 2.0, (int(rng.integers(5, 30)), 3)),
-              beliefs)
+        vectors = rng.uniform(-1.0, 2.0, (int(rng.integers(81, 90)), 3))
+        assert _GEMM_BUDGET // vectors.size < beliefs.shape[0]
+        check(m, vectors, beliefs)
 
     small = belief_grid(3, 5)
-    assert small.shape[0] == 21 < _POINT_BLOCK
     m = random_model(rng, 3, 3, 2)
     vectors = rng.uniform(-1.0, 2.0, (40, 3))
+    assert small.shape[0] == 21 < _GEMM_BUDGET // (65 * 3)
     first = check(m, vectors, small)
     kept = [arr.copy() for arr in first]
     check(m, np.vstack([vectors, rng.uniform(-1.0, 2.0, (25, 3))]), small)
