@@ -1,4 +1,5 @@
-"""POMDP data types, validation, the belief grid, reward shifts and JSON I/O.
+"""POMDP data types, validation, the belief grid and its Freudenthal cells,
+reward shifts and JSON I/O.
 
 Conventions used throughout the package:
 
@@ -108,6 +109,8 @@ def make_model(name, discount, transition, observation, reward,
     if obs.ndim != 3:
         raise ModelFormatError("observation must be a (U, X, Y) array")
     u, x, y = obs.shape
+    if min(x, y, u) < 1:
+        raise ModelFormatError("X, Y, U must all be positive")
     tr = np.asarray(transition, dtype=float)
     if tr.ndim == 2:
         if shared_transition is False:
@@ -179,6 +182,60 @@ def belief_grid(num_states: int, resolution: int) -> np.ndarray:
         dtype=np.int64, count=num_points * num_bars).reshape(num_points, num_bars)
     pts = (np.diff(bounds, axis=1) - 1).astype(float) / float(resolution)
     return _readonly(pts)
+
+
+def _freudenthal(points, resolution: int):
+    """Freudenthal (Kuhn) cell of each belief row on the resolution-n grid
+    (Lovejoy, Oper. Res. 1991).
+
+    Returns (rows, weights), each (N, X): the cell's vertices as row indices
+    of ``belief_grid(X, n)`` and barycentric weights, nonnegative and
+    summing to 1, with sum_j weights[:, j] * grid[rows[:, j]] = point.  In
+    the coordinates y_i = n * sum_{k >= i} pi_k (so y_0 = n) the base vertex
+    is floor(y), and each next vertex adds a unit step along the coordinate
+    of the next-largest fractional part; the weights are the differences of
+    consecutive sorted parts.  y is clamped to be nonincreasing and <= n
+    first, and a zero-weight vertex, which may lie off the grid, is mapped
+    onto the base vertex.  A vertex's grid row is its lexicographic rank,
+    from the combinatorial number system.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    num_points, num_states = pts.shape
+    y = resolution * np.cumsum(pts[:, ::-1], axis=1)[:, ::-1]
+    y[:, 0] = resolution
+    y = np.minimum.accumulate(np.clip(y, 0.0, resolution), axis=1)
+    base = np.floor(y)
+    frac = y - base
+    order = np.argsort(-frac[:, 1:], axis=1, kind="stable") + 1
+    parts = np.take_along_axis(frac, order, axis=1)          # descending
+    bounds = np.hstack([np.ones((num_points, 1)), parts,
+                        np.zeros((num_points, 1))])
+    weights = bounds[:, :-1] - bounds[:, 1:]
+    # vertex j is the base plus unit steps along order[:, :j]
+    steps = np.zeros((num_points, num_states, num_states), dtype=np.int64)
+    lanes = np.arange(num_points)
+    for j in range(1, num_states):
+        steps[lanes, j:, order[:, j - 1]] = 1
+    vertices = base.astype(np.int64)[:, None, :] + steps
+    unused = weights == 0.0
+    vertices[unused] = np.broadcast_to(vertices[:, :1], vertices.shape)[unused]
+    # The bars of vertex y sit at slots n - y_{j+1} + j among n + X - 1, and
+    # the lexicographic rank of a bar combination c_0 < ... < c_{k-1} of N
+    # slots is C(N, k) - 1 - sum_j C(N - 1 - c_j, k - j).
+    k = num_states - 1
+    table = _binomials(resolution + k, k)
+    terms = vertices[:, :, 1:] + (k - 1 - np.arange(k))     # N - 1 - c_j
+    ranks = table[-1, k] - 1 - table[terms, k - np.arange(k)].sum(axis=-1)
+    return ranks, weights
+
+
+@lru_cache(maxsize=8)
+def _binomials(size: int, k: int) -> np.ndarray:
+    """Read-only table C(a, b) for 0 <= a <= size, 0 <= b <= k."""
+    table = np.array([[comb(a, b) for b in range(k + 1)]
+                      for a in range(size + 1)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=32)

@@ -10,8 +10,12 @@ Every envelope evaluation (grid backup, Q-values, values at points, the
 pruner's top-two test) scores beliefs against all vectors through
 :func:`_score_blocks`, in blocks of as many beliefs as keep each product
 within _GEMM_BUDGET multiply-adds, so it stays on one BLAS thread.  No
-beliefs x vectors matrix is built, and the Q that verification measures
-is bit for bit the grid backup's.
+beliefs x vectors matrix is built.  After its first sweep the grid solver
+computes Q only for the (point, action) pairs that an upper bound cannot
+exclude: the interpolation of the last sweep's grid values over the
+Freudenthal cells of the posteriors (Lovejoy, Oper. Res. 1991).  The pairs
+it computes are bit for bit :func:`_q_batch`'s, so the Q that verification
+measures is the one the grid backup maximized.
 
 Pruning relies on a batched game-value LP: the margin of a candidate vector
 against a reference set is the value of a matrix game whose rows are states
@@ -27,8 +31,8 @@ from math import ceil, log
 
 import numpy as np
 
-from .model import (PomdpModel, _belief_rows, _readonly, belief_grid,
-                    capped_resolution)
+from .model import (PomdpModel, _belief_rows, _freudenthal, _readonly,
+                    belief_grid, capped_resolution)
 
 PRUNE_EPS = 1e-10
 TIE_TOL = 1e-10
@@ -38,6 +42,9 @@ EXACT_MAX_ITER = 100_000  # margin LPs resolve a residual only to about 1e-9
 _WARM_START_RESOLUTION = 20  # grid of the exact residual mode's warm start
 _EXACT_GRID_POINTS = 20_000  # most points of that grid and the history grid
 
+# Rounding margin of the grid backup's upper bound, relative to the largest
+# magnitude among grid values, carried vectors and rewards.
+_BOUND_RTOL = 1e-10
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _NO_ROW = np.iinfo(np.int64).max  # tie-break filler: never the smallest basis index
@@ -544,29 +551,127 @@ def _projections(m: PomdpModel, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_q(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray):
+def _add_future(m: PomdpModel, projections: np.ndarray, beliefs: np.ndarray,
+                q: np.ndarray, best_idx: np.ndarray, need=None) -> None:
+    """Add to q[p, u], per observation in order, the best back-projection's
+    score at belief p (exactly zero for a zero-probability observation),
+    and record its row in best_idx[p, u, y], for the pairs with need[p, u]
+    (every pair when need is None).  A lone needed belief is scored as two
+    equal rows: its product is then a matrix product, as among the whole
+    grid, and not a matrix-vector product, which BLAS rounds differently.
+    Scoring a subset of the beliefs reproduces their scores among all of
+    them only as far as BLAS rounds an entry the same whatever the row
+    count of its product; OpenBLAS can round the last few columns of some
+    products differently."""
+    for u in range(m.num_actions):
+        if need is None:
+            sel, points = slice(None), beliefs
+        else:
+            sel = np.flatnonzero(need[:, u])
+            if sel.size == 0:
+                continue
+            points = beliefs[np.repeat(sel, 2) if sel.size == 1 else sel]
+        total = q[sel, u]
+        best = np.empty((total.size, m.num_obs), dtype=np.int64)
+        for y in range(m.num_obs):
+            idx, val = _best_rows(points, projections[u, y])
+            best[:, y] = idx[:total.size]
+            total += val[:total.size]
+        q[sel, u] = total
+        best_idx[sel, u] = best
+
+
+def _point_q(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray,
+             need=None):
     """Q(pi, u) at every belief row: the immediate reward plus, per
     observation in order, the best back-projection's score (exactly zero
-    for a zero-probability observation).  Returns (q, best_idx,
-    projections), best_idx[p, u, y] being the best row of projections[u, y]."""
+    for a zero-probability observation).  Only the pairs with need[p, u]
+    get the scores when ``need`` is given; the others keep the reward term.
+    Returns (q, best_idx, projections), best_idx[p, u, y] being the best row
+    of projections[u, y]."""
     projections = _projections(m, vectors)
     q = beliefs @ m.reward.T                                 # (P, U)
     best_idx = np.empty((beliefs.shape[0], m.num_actions, m.num_obs),
                         dtype=np.int64)
-    for u in range(m.num_actions):
-        for y in range(m.num_obs):
-            best_idx[:, u, y], best_val = _best_rows(beliefs, projections[u, y])
-            q[:, u] += best_val
+    _add_future(m, projections, beliefs, q, best_idx, need)
     return q, best_idx, projections
 
 
-def _grid_backup(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray):
-    """One point-based backup: per grid point, the exact Bellman backup of
-    the current envelope, keeping the maximizing action's alpha vector."""
-    q_all, best_idx, projections = _point_q(m, vectors, beliefs)
+def _posterior_cells(m: PomdpModel, beliefs: np.ndarray, resolution: int):
+    """Gather arrays that interpolate grid values at every posterior: rows
+    and weights, each (U, P, Y * X), with sum_k weights[u, p, k] *
+    V[rows[u, p, k]] = rho * sum_y sigma * V_int(tau).  Here sigma is the
+    probability of observation y after action u at belief p, tau the
+    posterior, and V_int the interpolation of the values V at the points of
+    ``beliefs``, the resolution grid, over tau's Freudenthal cell."""
     num_points = beliefs.shape[0]
-    acts = np.argmax(q_all, axis=1)
-    values = q_all[np.arange(num_points), acts]
+    rows = np.empty((m.num_actions, num_points, m.num_obs * m.num_states),
+                    dtype=np.int64)
+    weights = np.empty(rows.shape)
+    for u in range(m.num_actions):
+        predicted = beliefs @ m.transition[u]                # rows P_u' pi
+        joint = predicted[:, None, :] * m.observation[u].T[None, :, :]
+        sigma = joint.sum(axis=2)                            # (P, Y)
+        live = sigma > 0.0
+        # An observation of probability zero weighs nothing; the predicted
+        # belief stands in for its undefined posterior.
+        post = np.where(live[:, :, None], joint, predicted[:, None, :])
+        post /= np.where(live, sigma, 1.0)[:, :, None]
+        cell_rows, cell_weights = _freudenthal(
+            post.reshape(-1, m.num_states), resolution)
+        rows[u] = cell_rows.reshape(num_points, -1)
+        weights[u] = (m.discount * np.where(live, sigma, 0.0)[:, :, None]
+                      * cell_weights.reshape(num_points, m.num_obs, -1)
+                      ).reshape(num_points, -1)
+    return rows, weights
+
+
+def _q_upper(m: PomdpModel, beliefs: np.ndarray, cells, values: np.ndarray):
+    """Q_up(p, u) = r_u'p + rho * sum_y sigma * V_int(tau) at every grid
+    point, from the grid values and the :func:`_posterior_cells` of the
+    grid.  It bounds Q(p, u) from above when the value function is convex
+    and at most ``values`` at the grid points, for the interpolation of
+    those values then bounds it at every posterior."""
+    rows, weights = cells
+    return beliefs @ m.reward.T + np.einsum("upk,upk->pu", weights,
+                                            values.take(rows))
+
+
+def _grid_backup(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray, *,
+                 cells=None, values=None, acts=None):
+    """One point-based backup: per grid point, the exact Bellman backup of
+    the current envelope, keeping the maximizing action's alpha vector.
+
+    Without ``cells`` every (point, action) pair is scored.  With the grid's
+    ``cells`` (:func:`_posterior_cells`) and the last sweep's grid
+    ``values`` and actions ``acts``, each point's last action is scored
+    first.  The carried envelope is convex and equals ``values`` at the grid
+    points, so :func:`_q_upper` bounds every Q.  A pair is scored too only
+    when its bound comes within a rounding margin, scaled by the largest
+    value, vector entry or reward, of that first Q.  Every other pair loses
+    strictly, so the maximizing action, its Q and its vector are bit for bit
+    those of scoring every pair.
+    """
+    num_points = beliefs.shape[0]
+    lanes = np.arange(num_points)
+    if cells is None:
+        q, best_idx, projections = _point_q(m, vectors, beliefs)
+    else:
+        need = np.zeros((num_points, m.num_actions), dtype=bool)
+        need[lanes, acts] = True
+        q, best_idx, projections = _point_q(m, vectors, beliefs, need)
+        margin = _BOUND_RTOL * max(np.abs(values).max(), np.abs(vectors).max(),
+                                   np.abs(m.reward).max())
+        # Skip only what the bound proves: a NaN comparison scores the pair.
+        extra = ~(_q_upper(m, beliefs, cells, values)
+                  < (q[lanes, acts] - margin)[:, None])
+        extra &= ~need
+        if extra.any():
+            _add_future(m, projections, beliefs, q, best_idx, extra)
+            need |= extra
+        q[~need] = -np.inf
+    acts = np.argmax(q, axis=1)
+    values = q[lanes, acts]
     alphas = np.empty((num_points, m.num_states))
     for u in range(m.num_actions):
         sel = np.flatnonzero(acts == u)
@@ -621,7 +726,10 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
     the distinct backed-up vectors of the previous sweep, at most one per
     grid point.  The resulting envelope is a convex lower bound on the exact
     value function (each backup is an exact Bellman backup of a lower
-    approximation), exact at grid points for the horizon solved.
+    approximation), exact at grid points for the horizon solved.  When the
+    probabilities and the discount are nonnegative, sweeps after the first
+    score only the pairs that :func:`_grid_backup`'s bound cannot exclude;
+    the gather arrays of that bound are built once.
 
     A ``residual`` target runs the a-priori sweep count of
     :func:`_residual_sweeps`, since the point-based change can floor above a
@@ -637,8 +745,13 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
     point_vector = np.zeros(num_points, dtype=int)
     values = np.zeros(num_points)
     history: list[float] = []
-    for _ in range(sweeps):
-        new_values, alphas, acts = _grid_backup(m, vectors, beliefs)
+    cells = acts = None
+    bounded = min(m.discount, m.transition.min(), m.observation.min()) >= 0.0
+    for sweep in range(sweeps):
+        if sweep == 1 and bounded:
+            cells = _posterior_cells(m, beliefs, resolution)
+        new_values, alphas, acts = _grid_backup(m, vectors, beliefs, cells=cells,
+                                                values=values, acts=acts)
         history.append(float(np.abs(new_values - values).max()))
         vectors, first_idx, point_vector = _unique_rows(alphas)
         actions = acts[first_idx]
@@ -653,8 +766,9 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
 # ---------------------------------------------------------------------------
 
 def _q_batch(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
-    """Q(pi, u) for every belief row, computed exactly as the grid backup
-    computes it (see :func:`_point_q`)."""
+    """Q(pi, u) for every belief row and action (see :func:`_point_q`).  The
+    grid backup computes Q only for the pairs its bound cannot exclude, and
+    each of those bit for bit as here."""
     beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
     return _point_q(m, vectors, beliefs)[0]
 

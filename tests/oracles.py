@@ -282,6 +282,39 @@ def point_backup_q(m: PomdpModel, vectors: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Grid value iteration, every (point, action) pair scored
+# ---------------------------------------------------------------------------
+
+def grid_sweeps_oracle(m: PomdpModel, beliefs: np.ndarray, sweeps: int,
+                       backup) -> list[dict]:
+    """Point-based value iteration that scores every (point, action) pair.
+
+    ``backup(m, vectors, beliefs)`` is one all-pairs point backup returning
+    (values, alphas, actions).  From the zero vector, each of ``sweeps``
+    sweeps backs up every point against the carried set, which is the
+    distinct alphas of the sweep before in ``np.unique`` order.  Returns one
+    dict per sweep: the carried ``vectors`` and grid ``values`` it started
+    from, then what it produced: ``new_values``, ``acts``, the distinct
+    ``vectors_out`` with their ``actions`` and ``point_vector``, and the
+    ``residual`` (largest change of a grid value).
+    """
+    vectors = np.zeros((1, m.num_states))
+    values = np.zeros(beliefs.shape[0])
+    trail = []
+    for _ in range(sweeps):
+        new_values, alphas, acts = backup(m, vectors, beliefs)
+        distinct, first, inverse = np.unique(
+            alphas, axis=0, return_index=True, return_inverse=True)
+        trail.append({"vectors": vectors, "values": values,
+                      "new_values": new_values, "acts": acts,
+                      "vectors_out": distinct, "actions": acts[first],
+                      "point_vector": inverse.reshape(-1),
+                      "residual": float(np.abs(new_values - values).max())})
+        vectors, values = distinct, new_values
+    return trail
+
+
+# ---------------------------------------------------------------------------
 # Posterior-tail sweeps, one belief at a time
 # ---------------------------------------------------------------------------
 

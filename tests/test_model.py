@@ -13,7 +13,7 @@ from pomdpcheck import (ModelFormatError, belief_grid, gen_example,
                         psi_sweep, reward_shift_general, save_model,
                         solve_grid, validate_model, verify_range_containment)
 from pomdpcheck.lp import FEAS_TOL
-from pomdpcheck.model import SHIFT_MARGIN, _belief_rows
+from pomdpcheck.model import SHIFT_MARGIN, _belief_rows, _freudenthal
 from pomdpcheck.structural import _posterior_tails
 
 from oracles import compositions_oracle, random_model
@@ -117,6 +117,39 @@ def test_belief_grid_rows_match_composition_oracle():
             assert np.array_equal(pts, expected)     # same rows, same order
 
 
+@pytest.mark.parametrize("num_states, resolution",
+                         [(2, 37), (3, 20), (4, 9), (5, 6), (6, 4)])
+def test_freudenthal_cells_rebuild_their_beliefs(num_states, resolution):
+    """Random beliefs, beliefs on faces, grid points, and face beliefs whose
+    entries sum to a hair over 1, as a computed posterior's may: the weights
+    are nonnegative and sum to 1, the vertices are grid rows, and the
+    weighted vertices rebuild the belief."""
+    rng = np.random.default_rng(70 + num_states)
+    grid = belief_grid(num_states, resolution)
+    interior = rng.dirichlet(np.ones(num_states), 300)
+    faces = interior * (rng.random(interior.shape) < 0.5)
+    faces[np.arange(300), rng.integers(0, num_states, 300)] += 0.1
+    faces /= faces.sum(axis=1, keepdims=True)
+    over = faces.copy()
+    over[:, 0] = 0.0
+    over[:, 1] += 1e-9
+    over /= over.sum(axis=1, keepdims=True)
+    over *= 1.0 + 4e-15
+    points = np.vstack([interior, faces, grid, over])
+    rows, weights = _freudenthal(points, resolution)
+    assert rows.shape == weights.shape == points.shape
+    assert (weights >= 0.0).all()
+    assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+    assert rows.min() >= 0 and rows.max() < grid.shape[0]
+    rebuilt = np.einsum("pj,pjx->px", weights, grid[rows])
+    assert np.abs(rebuilt - points).max() <= 1e-12
+    on_grid = slice(600, 600 + grid.shape[0])
+    own = np.argmax(weights[on_grid], axis=1)
+    assert np.array_equal(rows[on_grid][np.arange(grid.shape[0]), own],
+                          np.arange(grid.shape[0]))
+    assert (weights[on_grid].max(axis=1) >= 1.0 - 1e-12).all()
+
+
 # ---------------------------------------------------------------------------
 # Observation likelihoods
 # ---------------------------------------------------------------------------
@@ -193,6 +226,12 @@ def test_json_round_trip_is_byte_identical(tmp_path):
     first = path.read_text()
     save_model(load_model(path), path)
     assert path.read_text() == first
+
+
+def test_make_model_rejects_an_empty_action_stack():
+    with pytest.raises(ModelFormatError, match="must all be positive"):
+        make_model("z", 0.9, np.zeros((0, 3, 3)), np.zeros((0, 3, 2)),
+                   np.zeros((0, 3)))
 
 
 def test_malformed_json_raises_model_format_error():

@@ -18,8 +18,8 @@ from pomdpcheck.solver import (_GEMM_BUDGET, ExactVF,
                                _streaming_top2, _unique_rows)
 
 from oracles import (envelope_on_grid, expectimax_values, game_margin_oracle,
-                     point_backup_q, random_belief, random_model,
-                     top2_sort_oracle)
+                     grid_sweeps_oracle, point_backup_q, random_belief,
+                     random_model, top2_sort_oracle)
 
 
 def zero_vf(num_states):
@@ -517,6 +517,83 @@ def test_grid_refinement_stays_within_residual_budget():
     shared = belief_grid(3, 50)
     drift = np.abs(fine.values_at(shared) - coarse.values_at(shared)).max()
     assert drift <= 1e-6 / (1.0 - m.discount)
+
+
+def _grid_case(label):
+    """(model, resolution, sweeps) for the bounded-backup tests: the bundled
+    models; ex2 with a discount outside [0, 1), which a horizon solve
+    accepts; and seeded random models with 2-4 states, 2-3 actions, rewards
+    of both signs and, in the "zero-obs" cases, an observation of
+    probability zero under every action."""
+    if label.startswith("ex2-discount="):
+        m = gen_example("ex2")
+        return make_model(name=label, discount=float(label.split("=")[1]),
+                          transition=m.transition, observation=m.observation,
+                          reward=m.reward), 12, 25
+    if not label.startswith("random"):
+        params = {"num_states": 3} if label == "tridiagonal" else {}
+        return gen_example(label, **params), 15, 60
+    seed = int(label.split("-")[1])
+    rng = np.random.default_rng(900 + seed)
+    num_states = 2 + seed % 3
+    m = random_model(rng, num_states, 2 + seed % 2, 2 + (seed // 3) % 2,
+                     discount=float(rng.uniform(0.8, 0.97)))
+    if "zero-obs" in label:
+        observation = np.concatenate(
+            [np.zeros(m.observation.shape[:2] + (1,)), m.observation], axis=2)
+        m = make_model(name="zero-obs", discount=m.discount,
+                       transition=m.transition, observation=observation,
+                       reward=m.reward)
+    assert (m.reward < 0.0).any()
+    return m, {2: 40, 3: 15, 4: 7}[num_states], 50
+
+
+BOUND_CASES = (["ex1", "ex2", "hierarchical", "reversed_factor", "tridiagonal",
+                "ex2-discount=1.2"]
+               + [f"random-{seed}" for seed in range(8)]
+               + [f"random-{seed}-zero-obs" for seed in (1, 5)])
+
+
+@pytest.mark.parametrize("label", BOUND_CASES + ["ex2-discount=-0.5"])
+def test_grid_solve_is_the_all_pairs_sweep(label):
+    """Scoring only the pairs the interpolation bound cannot exclude leaves
+    every output of the grid solver bit for bit as scoring every pair.  A
+    negative discount voids the bound, and every pair is scored."""
+    m, resolution, sweeps = _grid_case(label)
+    vf = solve_grid(m, resolution=resolution, horizon=sweeps)
+    trail = grid_sweeps_oracle(m, belief_grid(m.num_states, resolution),
+                               sweeps, _grid_backup)
+    last = trail[-1]
+    assert np.array_equal(vf.values, last["new_values"])
+    assert np.array_equal(vf.vectors, last["vectors_out"])
+    assert np.array_equal(vf.actions, last["actions"])
+    assert np.array_equal(vf.point_vector, last["point_vector"])
+    assert vf.residuals == tuple(sweep["residual"] for sweep in trail)
+
+
+@pytest.mark.parametrize("label", BOUND_CASES)
+def test_interpolation_bound_holds_at_every_sweep(label):
+    """At every sweep after the first, Q_up from the last sweep's grid values
+    bounds the all-pairs Q, and each pair it lets the backup skip loses
+    strictly at its point."""
+    m, resolution, sweeps = _grid_case(label)
+    beliefs = belief_grid(m.num_states, resolution)
+    trail = grid_sweeps_oracle(m, beliefs, sweeps, _grid_backup)
+    cells = solver._posterior_cells(m, beliefs, resolution)
+    lanes = np.arange(beliefs.shape[0])
+    skipped_pairs = 0
+    for before, sweep in zip(trail, trail[1:]):
+        q = _q_batch(m, sweep["vectors"], beliefs)
+        assert np.array_equal(q.max(axis=1), sweep["new_values"])
+        upper = solver._q_upper(m, beliefs, cells, sweep["values"])
+        scale = max(np.abs(sweep["values"]).max(),
+                    np.abs(sweep["vectors"]).max(), np.abs(m.reward).max())
+        assert (upper >= q - 1e-12 * scale).all()
+        last_q = q[lanes, before["acts"]]
+        skipped = upper < (last_q - solver._BOUND_RTOL * scale)[:, None]
+        assert (q < q.max(axis=1, keepdims=True))[skipped].all()
+        skipped_pairs += int(skipped.sum())
+    assert skipped_pairs > 0
 
 
 # ---------------------------------------------------------------------------
