@@ -22,8 +22,8 @@ The package splits into five layers:
 
 from .examples import gen_example, list_examples
 from .model import (ModelFormatError, PomdpModel, belief_grid, load_model,
-                    loads_model, make_model, model_to_json,
-                    reward_shift_general, save_model, validate_model)
+                    loads_model, model_to_json, reward_shift_general,
+                    save_model, validate_model)
 from .orders import (blackwell_dominates, check_a5, check_a7,
                      copositive_dominates, fosd_dominates, gamma_matrices,
                      is_copositive, is_tp2, lehmann_precision, mlr_dominates,
@@ -43,10 +43,10 @@ __all__ = [
     "check_a7", "compare_models", "copositive_dominates", "fosd_dominates",
     "gamma_matrices", "gamma_monotone_report", "gen_example", "is_copositive",
     "is_tp2", "lehmann_precision", "list_examples", "load_model",
-    "loads_model", "make_model", "mlr_dominates", "model_to_json", "prune",
-    "psi_sweep", "reverse_factorization", "reward_shift_general",
-    "save_model", "slack_budget", "solve_exact", "solve_grid",
-    "validate_model", "verification_report", "verify_policy_dominance",
+    "loads_model", "mlr_dominates", "model_to_json", "prune", "psi_sweep",
+    "reverse_factorization", "reward_shift_general", "save_model",
+    "slack_budget", "solve_exact", "solve_grid", "validate_model",
+    "verification_report", "verify_policy_dominance",
     "verify_q_diff_monotone", "verify_range_containment",
     "verify_value_monotone_convex", "vf_to_dict", "__version__",
 ]

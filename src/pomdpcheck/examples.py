@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import PomdpModel, make_model
+from .model import PomdpModel
 
 DRIFT_3 = [[0.8, 0.2, 0.0],
            [0.1, 0.8, 0.1],
@@ -48,9 +48,7 @@ def ex1() -> PomdpModel:
     b2 = [[0.9, 0.1, 0.0],
           [0.2, 0.7, 0.1],
           [0.0, 0.2, 0.8]]
-    return make_model(name="ex1", transition=DRIFT_3,
-                      observation=[b1, b2], reward=REWARDS_3,
-                      discount=DISCOUNT)
+    return PomdpModel("ex1", DISCOUNT, DRIFT_3, [b1, b2], REWARDS_3)
 
 
 def ex2() -> PomdpModel:
@@ -65,9 +63,7 @@ def ex2() -> PomdpModel:
     b2 = _rows([[0.170021, 0.410485, 0.419494],
                 [0.106500, 0.433559, 0.459941],
                 [0.020739, 0.263223, 0.716038]], normalize=True)
-    return make_model(name="ex2", transition=DRIFT_3,
-                      observation=[b1, b2], reward=REWARDS_3,
-                      discount=DISCOUNT)
+    return PomdpModel("ex2", DISCOUNT, DRIFT_3, [b1, b2], REWARDS_3)
 
 
 def reversed_factor() -> PomdpModel:
@@ -80,9 +76,8 @@ def reversed_factor() -> PomdpModel:
     b2 = [[0.4387, 0.5190, 0.0423],
           [0.2455, 0.6625, 0.0920],
           [0.0615, 0.2829, 0.6556]]
-    return make_model(name="reversed_factor", transition=DRIFT_3,
-                      observation=[b1, b2], reward=REWARDS_3,
-                      discount=DISCOUNT)
+    return PomdpModel("reversed_factor", DISCOUNT, DRIFT_3, [b1, b2],
+                      REWARDS_3)
 
 
 HIER_BLUR = [[0.9, 0.1, 0.0],
@@ -104,8 +99,10 @@ def hierarchical(levels: int = 3, garbled: bool = False) -> PomdpModel:
     cross-model comparisons.  Rewards extend the three-state schedule by the
     arithmetic step (-0.2, +0.2, +0.4) per level.
     """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
+    if type(levels) is not int or levels < 1:
+        raise ValueError("levels must be an integer of at least 1")
+    if type(garbled) is not bool:
+        raise ValueError("garbled must be true or false")
     blur = np.asarray(HIER_BLUR, dtype=float)
     if garbled:
         blur = blur @ np.asarray(HIER_EXTRA_BLUR, dtype=float)
@@ -121,9 +118,7 @@ def hierarchical(levels: int = 3, garbled: bool = False) -> PomdpModel:
     step = np.array([-0.2, 0.2, 0.4])
     reward = [np.array([1.0, 2.0, 3.0]) + u * step for u in range(levels)]
     name = "hierarchical-garbled" if garbled else "hierarchical"
-    return make_model(name=name, transition=DRIFT_3,
-                      observation=observation, reward=reward,
-                      discount=DISCOUNT)
+    return PomdpModel(name, DISCOUNT, DRIFT_3, observation, reward)
 
 
 def tridiagonal(num_states: int = 4, p: float = 0.6, q: float = 0.7,
@@ -169,9 +164,7 @@ def tridiagonal(num_states: int = 4, p: float = 0.6, q: float = 0.7,
         drift[i, i - 1] = drift[i, i + 1] = 0.1
     r1 = np.arange(1.0, n + 1.0)
     r2 = 0.6 + 1.2 * np.arange(n)
-    return make_model(name=f"tridiagonal-{n}", transition=drift,
-                      observation=[b1, b2], reward=[r1, r2],
-                      discount=DISCOUNT)
+    return PomdpModel(f"tridiagonal-{n}", DISCOUNT, drift, [b1, b2], [r1, r2])
 
 
 _GENERATORS = {

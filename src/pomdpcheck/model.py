@@ -5,15 +5,16 @@ Conventions used throughout the package:
 
 * actions and observations are zero-based in the Python API; file formats and
   CSV/JSON reports use one-based labels,
-* ``transition`` is stored per action as a (U, X, X) stack even when the model
-  declares a shared transition matrix (the stack then repeats one matrix),
+* ``PomdpModel`` is the only constructor: it reads U, X and Y off the
+  observation stack, and ``transition`` is stored per action as a (U, X, X)
+  stack even when one shared matrix is given (the stack then repeats it),
 * all arrays handed out by this module are read-only.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
@@ -58,29 +59,39 @@ def _belief_rows(points, num_states: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PomdpModel:
-    """Finite POMDP: per-action transition/observation matrices and reward vectors."""
+    """Finite POMDP: per-action transition/observation matrices and reward
+    vectors.
+
+    The counts come from ``observation``, a (U, X, Y) stack.  ``transition``
+    may be one (X, X) matrix, shared by every action, or a (U, X, X) stack;
+    ``shared_transition`` records whether all U matrices are equal.  Shape
+    and finiteness problems raise ModelFormatError; probability bookkeeping
+    problems are left for validate_model to report.
+    """
 
     name: str
-    num_states: int
-    num_obs: int
-    num_actions: int
     discount: float
     transition: np.ndarray  # (U, X, X)
     observation: np.ndarray  # (U, X, Y)
     reward: np.ndarray  # (U, X)
-    shared_transition: bool
+    num_states: int = field(init=False)
+    num_obs: int = field(init=False)
+    num_actions: int = field(init=False)
+    shared_transition: bool = field(init=False)
 
     def __post_init__(self):
-        x, y, u = self.num_states, self.num_obs, self.num_actions
+        o = np.asarray(self.observation, dtype=float)
+        if o.ndim != 3:
+            raise ModelFormatError("observation must be a (U, X, Y) array")
+        u, x, y = o.shape
         if min(x, y, u) < 1:
             raise ModelFormatError("X, Y, U must all be positive")
         t = np.asarray(self.transition, dtype=float)
-        o = np.asarray(self.observation, dtype=float)
+        if t.shape == (x, x):
+            t = np.tile(t, (u, 1, 1))
         r = np.asarray(self.reward, dtype=float)
         if t.shape != (u, x, x):
             raise ModelFormatError(f"transition shape {t.shape} != {(u, x, x)}")
-        if o.shape != (u, x, y):
-            raise ModelFormatError(f"observation shape {o.shape} != {(u, x, y)}")
         if r.shape != (u, x):
             raise ModelFormatError(f"reward shape {r.shape} != {(u, x)}")
         discount = float(self.discount)
@@ -89,43 +100,14 @@ class PomdpModel:
         for arr, label in ((t, "transition"), (o, "observation"), (r, "reward")):
             if not np.isfinite(arr).all():
                 raise ModelFormatError(f"{label} contains non-finite entries")
-        if self.shared_transition and u > 1 and not (t == t[0]).all():
-            raise ModelFormatError("shared transition flag set but matrices differ")
-        object.__setattr__(self, "transition", _readonly(t))
-        object.__setattr__(self, "observation", _readonly(o))
-        object.__setattr__(self, "reward", _readonly(r))
-        object.__setattr__(self, "discount", discount)
-
-
-def make_model(name, discount, transition, observation, reward,
-               shared_transition=None) -> PomdpModel:
-    """Build a PomdpModel from arrays.
-
-    ``transition`` may be one (X, X) matrix (shared across actions) or a
-    (U, X, X) stack.  Structural problems raise ModelFormatError; probability
-    bookkeeping problems are left for validate_model to report.
-    """
-    obs = np.asarray(observation, dtype=float)
-    if obs.ndim != 3:
-        raise ModelFormatError("observation must be a (U, X, Y) array")
-    u, x, y = obs.shape
-    if min(x, y, u) < 1:
-        raise ModelFormatError("X, Y, U must all be positive")
-    tr = np.asarray(transition, dtype=float)
-    if tr.ndim == 2:
-        if shared_transition is False:
-            raise ModelFormatError("single transition matrix requires shared_transition")
-        tr = np.broadcast_to(tr, (u, x, x)).copy()
-        shared = True
-    elif tr.ndim == 3:
-        shared = bool(shared_transition) if shared_transition is not None \
-            else bool(u == 1 or (tr == tr[0]).all())
-    else:
-        raise ModelFormatError("transition must be (X, X) or (U, X, X)")
-    return PomdpModel(name=str(name), num_states=x, num_obs=y, num_actions=u,
-                      discount=float(discount), transition=tr, observation=obs,
-                      reward=np.asarray(reward, dtype=float),
-                      shared_transition=shared)
+        for attr, value in (("discount", discount),
+                            ("transition", _readonly(t)),
+                            ("observation", _readonly(o)),
+                            ("reward", _readonly(r)),
+                            ("num_states", x), ("num_obs", y),
+                            ("num_actions", u),
+                            ("shared_transition", bool((t == t[0]).all()))):
+            object.__setattr__(self, attr, value)
 
 
 def validate_model(m: PomdpModel) -> list[str]:
@@ -286,7 +268,8 @@ def reward_shift_general(m: PomdpModel) -> dict:
 
 
 def loads_model(text: str) -> PomdpModel:
-    """Parse a model from its JSON document; numbers become 64-bit floats."""
+    """Parse a model from its JSON document.  X, Y and U must be JSON
+    integers; every other number becomes a 64-bit float."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -295,7 +278,7 @@ def loads_model(text: str) -> PomdpModel:
         raise ModelFormatError("model document must be a JSON object")
     try:
         name = str(doc["name"])
-        x, y, u = int(doc["X"]), int(doc["Y"]), int(doc["U"])
+        x, y, u = doc["X"], doc["Y"], doc["U"]
         discount = float(doc["discount"])
         transition = doc["transition"]
         observation = doc["observation"]
@@ -304,6 +287,8 @@ def loads_model(text: str) -> PomdpModel:
         raise ModelFormatError(f"missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad scalar field: {exc}") from exc
+    if not all(type(n) is int for n in (x, y, u)):
+        raise ModelFormatError("X, Y and U must be JSON integers")
     if not isinstance(transition, dict) or \
             set(transition) not in ({"shared"}, {"per_action"}):
         raise ModelFormatError('transition must be {"shared": ...} or {"per_action": ...}')
@@ -319,8 +304,7 @@ def loads_model(text: str) -> PomdpModel:
     expected = (x, x) if "shared" in transition else (u, x, x)
     if tr.shape != expected:
         raise ModelFormatError(f"transition shape {tr.shape} != {expected}")
-    return make_model(name=name, discount=discount, transition=tr,
-                      observation=obs, reward=rew)
+    return PomdpModel(name, discount, tr, obs, rew)
 
 
 def load_model(path) -> PomdpModel:

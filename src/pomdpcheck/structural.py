@@ -11,8 +11,11 @@ information gain across actions (predicted for Blackwell-ordered sensors
 only), convex dominance of posterior tails (the psi sweep), posterior-range
 containment, and monotone/convex value shape along lines toward the last
 vertex.  The psi and range checks read one (N, U, Y) tensor of posterior
-tails per call and run across all beliefs at once; the shape check draws
-all its lines at once and reduces their values in one step.
+tails per call and run across all beliefs and consecutive action pairs at
+once; the shape check draws all its lines at once and reduces their values
+in one step.  How many beliefs and lines are sampled, and from which seed,
+are module constants (TAIL_BELIEFS, SHAPE_LINES, SAMPLE_SEED), not
+parameters.
 
 Verification never asserts: hypotheses may fail, in which case the checks
 still run and report diagnostics, because the structural conditions are
@@ -39,6 +42,9 @@ from .solver import (TIE_TOL, _lowest_argmax, _mode_or_error, _q_batch,
 
 SHAPE_TOL = 1e-9
 SHAPE_POINTS = 21
+SHAPE_LINES = 100
+TAIL_BELIEFS = 200
+SAMPLE_SEED = 0
 RANGE_TOL = 1e-10
 DEFAULT_RESOLUTION = 100
 DEFAULT_RESIDUAL = 1e-8
@@ -298,51 +304,51 @@ def psi_sweep(m: PomdpModel, beliefs) -> dict:
     }
 
 
-def verify_range_containment(m: PomdpModel, beliefs, u_low: int,
-                             u_high: int) -> dict:
-    """Check that the posterior-tail range of the higher action contains the
-    lower action's range at every belief.
+def verify_range_containment(m: PomdpModel, beliefs) -> list[dict]:
+    """Check, for each consecutive action pair (u, u+1), that the
+    posterior-tail range of the higher action contains the lower action's
+    range at every belief; one report per pair.
 
     Only observations with positive probability contribute, and a belief
     where either action has none is skipped.  Records each belief where
     min(high tails) > min(low tails) + RANGE_TOL or
-    max(high tails) < max(low tails) - RANGE_TOL.  Action indices out of
-    range and invalid belief rows raise ValueError.
+    max(high tails) < max(low tails) - RANGE_TOL.  Invalid belief rows raise
+    ValueError.
     """
-    for u in (u_low, u_high):
-        if not 0 <= u < m.num_actions:
-            raise ValueError(f"action index {u} out of range")
     pts = _belief_rows(beliefs, m.num_states)
     _, sigmas, normalized = _posterior_tails(m, pts)
-    pair = [u_low, u_high]
-    live = sigmas[:, pair] > 0.0                           # (N, 2, Y)
-    lows = np.min(normalized[:, pair], axis=2, where=live, initial=np.inf)
-    highs = np.max(normalized[:, pair], axis=2, where=live, initial=-np.inf)
-    bad = live.any(axis=2).all(axis=1) & (
-        (lows[:, 1] > lows[:, 0] + RANGE_TOL)
-        | (highs[:, 1] < highs[:, 0] - RANGE_TOL))
-    failures = [{
-        "belief": [float(x) for x in pts[i]],
-        "low_range": [float(lows[i, 0]), float(highs[i, 0])],
-        "high_range": [float(lows[i, 1]), float(highs[i, 1])],
-    } for i in np.flatnonzero(bad)]
-    return {
-        "holds": not failures,
-        "failures": failures,
-        "num_beliefs": int(pts.shape[0]),
-        "pair": [int(u_low) + 1, int(u_high) + 1],
-        "tol": RANGE_TOL,
-    }
+    live = sigmas > 0.0                                    # (N, U, Y)
+    lows = np.min(normalized, axis=2, where=live, initial=np.inf)
+    highs = np.max(normalized, axis=2, where=live, initial=-np.inf)
+    seen = live.any(axis=2)                                # (N, U)
+    bad = seen[:, :-1] & seen[:, 1:] & (
+        (lows[:, 1:] > lows[:, :-1] + RANGE_TOL)
+        | (highs[:, 1:] < highs[:, :-1] - RANGE_TOL))     # (N, U-1)
+    reports = []
+    for u in range(m.num_actions - 1):
+        failures = [{
+            "belief": [float(x) for x in pts[i]],
+            "low_range": [float(lows[i, u]), float(highs[i, u])],
+            "high_range": [float(lows[i, u + 1]), float(highs[i, u + 1])],
+        } for i in np.flatnonzero(bad[:, u])]
+        reports.append({
+            "holds": not failures,
+            "failures": failures,
+            "num_beliefs": int(pts.shape[0]),
+            "pair": [u + 1, u + 2],
+            "tol": RANGE_TOL,
+        })
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # Value shape along lines toward the last vertex
 # ---------------------------------------------------------------------------
 
-def verify_value_monotone_convex(vf, *, num_lines: int = 100,
-                                 seed: int = 0) -> dict:
-    """Sample SHAPE_POINTS-point lines from random zero-last-coordinate bases
-    to the last vertex; check the envelope is nondecreasing and convex on each.
+def verify_value_monotone_convex(vf) -> dict:
+    """Sample SHAPE_LINES lines of SHAPE_POINTS points each, from random
+    zero-last-coordinate bases (seeded with SAMPLE_SEED) to the last vertex;
+    check the envelope is nondecreasing and convex on each.
 
     Monotone margin: the most negative consecutive difference along any
     line.  Convexity margin: the most negative value of
@@ -353,14 +359,14 @@ def verify_value_monotone_convex(vf, *, num_lines: int = 100,
     num_states = vf.vectors.shape[1]
     if num_states < 2:
         raise ValueError("shape checks need at least two states")
-    bases = np.random.default_rng(seed).dirichlet(np.ones(num_states - 1),
-                                                  size=num_lines)
+    bases = np.random.default_rng(SAMPLE_SEED).dirichlet(
+        np.ones(num_states - 1), size=SHAPE_LINES)
     eps = np.linspace(0.0, 1.0, SHAPE_POINTS)
-    lines = np.zeros((num_lines, SHAPE_POINTS, num_states))
+    lines = np.zeros((SHAPE_LINES, SHAPE_POINTS, num_states))
     lines[:, :, :-1] = (1.0 - eps)[None, :, None] * bases[:, None, :]
     lines[:, :, -1] = eps
     values = vf.values_at(lines.reshape(-1, num_states)).reshape(
-        num_lines, SHAPE_POINTS)
+        SHAPE_LINES, SHAPE_POINTS)
     worst_monotone = float(np.diff(values, axis=1).min())
     worst_convex = float(
         (0.5 * (values[:, :-2] + values[:, 2:]) - values[:, 1:-1]).min())
@@ -369,7 +375,7 @@ def verify_value_monotone_convex(vf, *, num_lines: int = 100,
         "convex_ok": worst_convex >= -SHAPE_TOL,
         "min_monotone_margin": worst_monotone,
         "min_convexity_margin": worst_convex,
-        "num_lines": int(num_lines),
+        "num_lines": SHAPE_LINES,
         "num_points": SHAPE_POINTS,
         "tol": SHAPE_TOL,
     }
@@ -469,9 +475,7 @@ def verification_report(m: PomdpModel, *,
                         resolution: int = DEFAULT_RESOLUTION,
                         residual: float | None = None,
                         horizon: int | None = None,
-                        method: str = "grid",
-                        num_psi_beliefs: int = 200,
-                        seed: int = 0) -> dict:
+                        method: str = "grid") -> dict:
     """Solve the model and measure every structural prediction against it.
 
     Returns one JSON-ready document with sections ``assumptions`` (the full
@@ -483,7 +487,8 @@ def verification_report(m: PomdpModel, *,
     compare_models for two-model comparisons), ``theorem5`` (posterior-range
     containment per pair), ``psi`` (the :func:`psi_sweep` document without
     its per-belief minima matrix; shared transition only), and
-    ``value_shape`` (monotone/convex line checks).
+    ``value_shape`` (monotone/convex line checks).  The psi and range
+    sections share TAIL_BELIEFS Dirichlet beliefs drawn with SAMPLE_SEED.
     Checks whose hypotheses fail still run and report; nothing asserts.
     """
     if residual is None and horizon is None:
@@ -496,15 +501,14 @@ def verification_report(m: PomdpModel, *,
                                         slack=slack)
     q_diff = verify_q_diff_monotone(m, vf, resolution=resolution)
 
-    rng = np.random.default_rng(seed)
-    sampled = rng.dirichlet(np.ones(m.num_states), size=num_psi_beliefs)
+    sampled = np.random.default_rng(SAMPLE_SEED).dirichlet(
+        np.ones(m.num_states), size=TAIL_BELIEFS)
     psi_section: dict | None = None
     if m.shared_transition and m.num_actions >= 2:
         psi_section = psi_sweep(m, sampled)
         del psi_section["minima"]
-    theorem5 = [verify_range_containment(m, sampled, u, u + 1)
-                for u in range(m.num_actions - 1)]
-    shape = verify_value_monotone_convex(vf, seed=seed)
+    theorem5 = verify_range_containment(m, sampled)
+    shape = verify_value_monotone_convex(vf)
     return {
         "model": m.name,
         "method": method,

@@ -237,7 +237,6 @@ def random_model(rng: np.random.Generator, num_states: int, num_obs: int,
                  discount: float | None = None) -> PomdpModel:
     """Random dense model with rewards in [-1, 2]; shared=True ties the
     transition kernel across actions."""
-    from pomdpcheck.model import make_model
     if shared:
         transition = random_stochastic(rng, num_states, num_states)
     else:
@@ -248,9 +247,7 @@ def random_model(rng: np.random.Generator, num_states: int, num_obs: int,
     reward = rng.uniform(-1.0, 2.0, size=(num_actions, num_states))
     if discount is None:
         discount = float(rng.uniform(0.3, 0.95))
-    return make_model(name="random", transition=transition,
-                      observation=observation, reward=reward,
-                      discount=discount)
+    return PomdpModel("random", discount, transition, observation, reward)
 
 
 def random_belief(rng: np.random.Generator, num_states: int) -> np.ndarray:
@@ -361,7 +358,8 @@ def range_failures_oracle(m: PomdpModel, beliefs: np.ndarray, u_low: int,
                           u_high: int, tol: float) -> list[dict]:
     """Beliefs where the live normalized tails of u_high fail to span those
     of u_low by more than tol, skipping beliefs where an action has no live
-    observation; same record layout as ``verify_range_containment``."""
+    observation; same record layout as the ``failures`` of a
+    ``verify_range_containment`` report."""
     failures = []
     for probs in beliefs:
         spans = {}

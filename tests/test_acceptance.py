@@ -182,8 +182,7 @@ def test_criterion_07_contraction_and_cross_method(ex1, ex1_exact_h10,
 
 
 def test_criterion_08_value_shape_and_alpha_monotonicity(ex1_exact_h10):
-    shape = verify_value_monotone_convex(ex1_exact_h10, num_lines=100,
-                                         seed=80)
+    shape = verify_value_monotone_convex(ex1_exact_h10)
     assert shape["tol"] == 1e-9
     assert shape["monotone_ok"], shape
     assert shape["convex_ok"], shape

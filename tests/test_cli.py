@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pomdpcheck import (assumption_report, gamma_matrices, gen_example,
-                        list_examples, loads_model, make_model, model_to_json,
+from pomdpcheck import (PomdpModel, assumption_report, gamma_matrices,
+                        gen_example, list_examples, loads_model, model_to_json,
                         save_model)
 from pomdpcheck.cli import _emit, main
 
@@ -61,6 +61,21 @@ def test_malformed_json_exits_two(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("X", 3.9), ("U", 2.5), ("X", "3"), ("U", 2.0), ("Y", True)])
+def test_non_integer_count_exits_two(capsys, tmp_path, field, value):
+    """The counts X, Y and U must be JSON integers; check used to truncate
+    3.9 and 2.5 and parse "3", then report on the model and exit 0."""
+    doc = json.loads(model_to_json(gen_example("ex1")))
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be JSON integers" in captured.err
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_discount_exits_two(capsys, tmp_path, literal):
     """A discount that JSON spells NaN or Infinity is refused before any
@@ -104,7 +119,7 @@ def test_non_stochastic_model_exits_two(capsys, tmp_path, argv):
 
 def _tp2_witness_model():
     """Two states whose kernels fail TP2, so the report carries witnesses."""
-    return make_model(
+    return PomdpModel(
         name="tp2_witness", discount=0.9,
         transition=[[[0.2, 0.8], [0.9, 0.1]], [[0.5, 0.5], [0.3, 0.7]]],
         observation=[[[0.7, 0.3], [0.2, 0.8]], [[0.9, 0.1], [0.1, 0.9]]],
@@ -136,7 +151,7 @@ def _action_drift_model():
     """Three states whose drift depends on the action.  Every bundled model
     uses one transition matrix for all actions, so their gamma matrices are
     all zero."""
-    return make_model(
+    return PomdpModel(
         name="action_drift", discount=0.9,
         transition=[[[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]],
                     [[0.6, 0.3, 0.1], [0.05, 0.75, 0.2], [0.0, 0.1, 0.9]]],
@@ -231,7 +246,7 @@ def test_residual_solve_rejects_discount_outside_unit_interval(
     solve exits 2 at once instead of reporting one sweep or running on."""
     m = gen_example("ex1")
     path = tmp_path / "bad.json"
-    save_model(make_model(name="bad", discount=discount,
+    save_model(PomdpModel(name="bad", discount=discount,
                           transition=m.transition, observation=m.observation,
                           reward=m.reward), path)
     assert main(["solve", str(path), "--method", method, "--grid", "5",
@@ -242,7 +257,7 @@ def test_residual_solve_rejects_discount_outside_unit_interval(
 def test_horizon_solve_allows_discount_above_one(capsys, tmp_path):
     m = gen_example("ex1")
     path = tmp_path / "bad.json"
-    save_model(make_model(name="bad", discount=1.2, transition=m.transition,
+    save_model(PomdpModel(name="bad", discount=1.2, transition=m.transition,
                           observation=m.observation, reward=m.reward), path)
     code, doc = run_json(capsys, ["solve", str(path), "--horizon", "3"])
     assert code == 0 and doc["horizon"] == 3
@@ -329,6 +344,10 @@ def test_gen_rejects_invalid_params():
     assert main(["gen", "tridiagonal", "--param", "q_boundary=0.4"]) == 2
     assert main(["gen", "hierarchical", "--param", "levels=0"]) == 2
     assert main(["gen", "hierarchical", "--param", "bogus=1"]) == 2
+    # the parser leaves "no" and "off" strings and makes "true" a bool
+    for param in ("garbled=no", "garbled=off", "garbled=1", "levels=true",
+                  "levels=2.0"):
+        assert main(["gen", "hierarchical", "--param", param]) == 2
 
 
 def test_gen_unknown_name_rejected_by_parser():

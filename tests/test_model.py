@@ -1,6 +1,7 @@
 """Model container, validation, belief checks, reward shifts, and JSON
 round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pomdpcheck import (ModelFormatError, belief_grid, gen_example,
-                        load_model, loads_model, make_model, model_to_json,
+from pomdpcheck import (ModelFormatError, PomdpModel, belief_grid,
+                        gen_example, load_model, loads_model, model_to_json,
                         psi_sweep, reward_shift_general, save_model,
                         solve_grid, validate_model, verify_range_containment)
 from pomdpcheck.lp import FEAS_TOL
@@ -28,18 +29,36 @@ def simplex_points(n):
 # Construction and validation
 # ---------------------------------------------------------------------------
 
-def test_make_model_broadcasts_shared_transition():
+def test_model_broadcasts_a_shared_transition():
     m = gen_example("ex1")
     assert m.shared_transition
     assert m.transition.shape == (2, 3, 3)
+    assert m.transition.flags.c_contiguous
     assert np.array_equal(m.transition[0], m.transition[1])
+    # the counts and the flag are read off the arrays, so a stack of equal
+    # matrices is as shared as one broadcast matrix
+    assert [f.name for f in dataclasses.fields(PomdpModel) if f.init] == [
+        "name", "discount", "transition", "observation", "reward"]
+    stack = PomdpModel("stack", m.discount, np.array(m.transition),
+                       m.observation, m.reward)
+    assert (stack.num_states, stack.num_obs, stack.num_actions) == (3, 3, 2)
+    assert stack.shared_transition
 
 
-def test_make_model_distinct_transitions():
+def test_model_distinct_transitions():
     rng = np.random.default_rng(0)
     m = random_model(rng, 3, 3, 2, shared=False)
     assert not m.shared_transition
     assert not np.array_equal(m.transition[0], m.transition[1])
+
+
+def test_per_action_file_with_equal_matrices_loads_as_shared():
+    m = gen_example("ex1")
+    doc = json.loads(model_to_json(m))
+    doc["transition"] = {"per_action": m.transition.tolist()}
+    again = loads_model(json.dumps(doc))
+    assert again.shared_transition
+    assert model_to_json(again) == model_to_json(m)   # written as "shared"
 
 
 def test_arrays_are_readonly():
@@ -51,7 +70,7 @@ def test_arrays_are_readonly():
 
 def test_validate_model_flags_bad_rows():
     m = gen_example("ex1")
-    broken = make_model(name="broken", discount=1.5,
+    broken = PomdpModel(name="broken", discount=1.5,
                         transition=[[0.5, 0.5, 0.0],
                                     [0.2, 0.9, 0.1],
                                     [0.0, 0.0, 1.0]],
@@ -92,7 +111,7 @@ def test_belief_validation(ex1):
     with pytest.raises(ValueError, match="finite"):
         psi_sweep(ex1, [[np.nan, 0.5, 0.5]])
     with pytest.raises(ValueError, match="negative"):
-        verify_range_containment(ex1, [[3.0, -1.0, -1.0]], 0, 1)
+        verify_range_containment(ex1, [[3.0, -1.0, -1.0]])
     vf = solve_grid(ex1, resolution=10, horizon=20)
     with pytest.raises(ValueError, match="sums"):
         vf.values_at([[5.0, 5.0, 5.0]])
@@ -185,7 +204,7 @@ def test_reward_shift_general_matches_highs_on_random_kernels():
     seen = {"feasible": 0, "infeasible": 0}
     for _ in range(500):
         transition = rng.dirichlet(np.full(3, 0.3), size=(2, 3))
-        m = make_model(name="random", discount=0.95, transition=transition,
+        m = PomdpModel(name="random", discount=0.95, transition=transition,
                        observation=np.tile(np.eye(3), (2, 1, 1)),
                        reward=rng.uniform(-1.0, 2.0, (2, 3)))
         rows = np.vstack([np.diff(np.eye(3) - 0.95 * p, axis=0)
@@ -228,9 +247,9 @@ def test_json_round_trip_is_byte_identical(tmp_path):
     assert path.read_text() == first
 
 
-def test_make_model_rejects_an_empty_action_stack():
+def test_model_rejects_an_empty_action_stack():
     with pytest.raises(ModelFormatError, match="must all be positive"):
-        make_model("z", 0.9, np.zeros((0, 3, 3)), np.zeros((0, 3, 2)),
+        PomdpModel("z", 0.9, np.zeros((0, 3, 3)), np.zeros((0, 3, 2)),
                    np.zeros((0, 3)))
 
 
@@ -269,7 +288,7 @@ def test_non_finite_discount_raises_model_format_error(discount):
     discount that is not finite, whichever way it is built."""
     m = gen_example("ex1")
     with pytest.raises(ModelFormatError, match="discount .* is not finite"):
-        make_model(name="bad", discount=discount, transition=m.transition,
+        PomdpModel(name="bad", discount=discount, transition=m.transition,
                    observation=m.observation, reward=m.reward)
     doc = json.loads(model_to_json(m))
     doc["discount"] = discount

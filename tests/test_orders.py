@@ -315,3 +315,52 @@ def test_reversed_factor_fixture_has_reverse_but_not_forward():
     reverse = reverse_factorization(m.observation[0], m.observation[1])
     assert forward["holds"] is False
     assert reverse["holds"] is True
+
+
+# ---------------------------------------------------------------------------
+# What each sensor order pays for, on the sensor pair alone
+# ---------------------------------------------------------------------------
+
+def _sensor_gains(low, high, alphas, priors):
+    """(F, N) gains sum_y f(high[:, y] * p) - sum_y f(low[:, y] * p) of each
+    f(z) = max_k alphas[f, k]'z at each prior p."""
+    def value(b):
+        z = b.T[None] * priors[:, None, :]                 # (N, Y, X)
+        scores = z @ alphas.reshape(-1, alphas.shape[2]).T  # (N, Y, F*K)
+        return scores.reshape(*z.shape[:2], *alphas.shape[:2]).max(
+            axis=3).sum(axis=1).T
+    return value(high) - value(low)
+
+
+def test_sensor_orders_pay_for_their_value_classes():
+    """Blackwell's theorem: a garbled sensor never gains on a convex,
+    positively homogeneous f.  Lehmann's: a less precise TP2 sensor never
+    gains on an f with increasing differences (max of alpha_1..alpha_K with
+    each alpha_{k+1} - alpha_k nondecreasing in the state), but may on other
+    convex f.  Over 200 seeded f of each class (4 pieces) and 500 priors
+    pi P on each bundled drift P: hierarchical's two Blackwell pairs lose
+    nothing on either class (worst -1.8e-15); reversed_factor, precise but
+    not Blackwell-ordered, loses nothing on increasing-difference f but
+    about 2e-3 on some convex f; ex1 and ex2 lose about 0.11 and 8e-2 on
+    some increasing-difference f."""
+    rng = np.random.default_rng(0)
+    num_f, num_priors, pieces = 200, 500, 4
+    convex = rng.normal(size=(num_f, pieces, 3))
+    steps = np.sort(rng.normal(size=(num_f, pieces - 1, 3)), axis=2)
+    increasing = np.concatenate(
+        [rng.normal(size=(num_f, 1, 3)), steps], axis=1).cumsum(axis=1)
+    worst = {}
+    for name in ("hierarchical", "reversed_factor", "ex1", "ex2"):
+        m = gen_example(name)
+        priors = rng.dirichlet(np.ones(3), size=num_priors) @ m.transition[0]
+        for u in range(m.num_actions - 1):
+            low, high = m.observation[u], m.observation[u + 1]
+            worst[name, u] = (
+                _sensor_gains(low, high, convex, priors).min(),
+                _sensor_gains(low, high, increasing, priors).min())
+    for u in (0, 1):
+        assert min(worst["hierarchical", u]) >= -1e-12, worst
+    convex_gain, increasing_gain = worst["reversed_factor", 0]
+    assert increasing_gain >= -1e-12 and convex_gain <= -1e-4, worst
+    for name in ("ex1", "ex2"):
+        assert worst[name, 0][1] <= -1e-2, worst

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pomdpcheck import (CapacityError, belief_grid, gen_example,
-                        gamma_monotone_report, make_model, prune, save_model,
+from pomdpcheck import (CapacityError, PomdpModel, belief_grid, gen_example,
+                        gamma_monotone_report, prune, save_model,
                         solve_exact, solve_grid, vf_to_dict)
 from pomdpcheck import solver
 from pomdpcheck.cli import main
@@ -63,7 +63,7 @@ def test_small_models_match_expectimax_depth_three():
 def test_iterates_monotone_for_nonnegative_rewards():
     rng = np.random.default_rng(23)
     m = random_model(rng, 3, 3, 2)
-    m = make_model(name="nn", discount=0.8, transition=m.transition,
+    m = PomdpModel(name="nn", discount=0.8, transition=m.transition,
                    observation=m.observation,
                    reward=m.reward - m.reward.min())
     pts = belief_grid(3, 8)
@@ -439,7 +439,7 @@ def test_prune_keeps_needed_interior_piece():
 
 def test_grid_vertices_only_undiscounted():
     m = gen_example("ex1")
-    m0 = make_model(name="flat", discount=0.0, transition=m.transition,
+    m0 = PomdpModel(name="flat", discount=0.0, transition=m.transition,
                     observation=m.observation, reward=m.reward)
     vf = solve_grid(m0, resolution=1, residual=1e-12)
     # the three vertices, in grid order, valued at the best immediate reward
@@ -527,7 +527,7 @@ def _grid_case(label):
     probability zero under every action."""
     if label.startswith("ex2-discount="):
         m = gen_example("ex2")
-        return make_model(name=label, discount=float(label.split("=")[1]),
+        return PomdpModel(name=label, discount=float(label.split("=")[1]),
                           transition=m.transition, observation=m.observation,
                           reward=m.reward), 12, 25
     if not label.startswith("random"):
@@ -541,7 +541,7 @@ def _grid_case(label):
     if "zero-obs" in label:
         observation = np.concatenate(
             [np.zeros(m.observation.shape[:2] + (1,)), m.observation], axis=2)
-        m = make_model(name="zero-obs", discount=m.discount,
+        m = PomdpModel(name="zero-obs", discount=m.discount,
                        transition=m.transition, observation=observation,
                        reward=m.reward)
     assert (m.reward < 0.0).any()
@@ -653,7 +653,7 @@ def test_envelope_evaluations_stay_small():
 
 
 def test_policy_tie_breaks_to_lowest_action(tmp_path):
-    m = make_model(name="ties", discount=0.0,
+    m = PomdpModel(name="ties", discount=0.0,
                    transition=np.eye(2),
                    observation=[np.eye(2)] * 3,
                    reward=[[1.0, 1.0]] * 3)

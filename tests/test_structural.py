@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from pomdpcheck import (assumption_report, compare_models, gen_example,
-                        make_model, psi_sweep, slack_budget, solve_exact,
+from pomdpcheck import (PomdpModel, assumption_report, compare_models,
+                        gen_example, psi_sweep, slack_budget, solve_exact,
                         solve_grid, verification_report,
                         verify_policy_dominance, verify_q_diff_monotone,
                         verify_range_containment,
@@ -48,7 +48,7 @@ def test_assumption_report_fields_on_ex1(ex1):
 
 
 def test_assumption_report_single_action():
-    m = make_model(name="solo", discount=0.5,
+    m = PomdpModel(name="solo", discount=0.5,
                    transition=[[0.7, 0.3], [0.4, 0.6]],
                    observation=[[[0.9, 0.1], [0.2, 0.8]]],
                    reward=[[0.0, 1.0]])
@@ -141,7 +141,7 @@ def test_q_diff_monotone_reports_negative_pocket(ex1, ex1_small):
 
 
 def test_q_diff_single_action_vacuous():
-    m = make_model(name="solo", discount=0.5,
+    m = PomdpModel(name="solo", discount=0.5,
                    transition=[[0.7, 0.3], [0.4, 0.6]],
                    observation=[[[0.9, 0.1], [0.2, 0.8]]],
                    reward=[[0.0, 1.0]])
@@ -185,7 +185,7 @@ def test_tail_sweeps_match_per_belief_oracles():
     obs = m.observation.copy()
     obs[1][:, 0] = 0.0
     obs[1] /= obs[1].sum(axis=1, keepdims=True)
-    models.append(make_model(name="dead_obs", discount=m.discount,
+    models.append(PomdpModel(name="dead_obs", discount=m.discount,
                              transition=m.transition[0], observation=obs,
                              reward=m.reward))
     failing = passing = 0
@@ -196,15 +196,16 @@ def test_tail_sweeps_match_per_belief_oracles():
         assert np.abs(sweep["minima"] - minima).max() <= 1e-15
         assert abs(sweep["max_abs_psi_at_0"] - np.abs(end_low).max()) <= 1e-15
         assert abs(sweep["max_abs_psi_at_1"] - np.abs(end_high).max()) <= 1e-15
-        for u in range(m.num_actions - 1):
-            for lo, hi in ((u, u + 1), (u + 1, u)):
-                report = verify_range_containment(m, beliefs, lo, hi)
-                expected = range_failures_oracle(m, beliefs, lo, hi,
-                                                 report["tol"])
-                assert report["failures"] == expected
-                assert report["holds"] == (not expected)
-                failing += len(expected)
-                passing += beliefs.shape[0] - len(expected)
+        reports = verify_range_containment(m, beliefs)
+        assert len(reports) == m.num_actions - 1
+        for u, report in enumerate(reports):
+            assert report["pair"] == [u + 1, u + 2]
+            expected = range_failures_oracle(m, beliefs, u, u + 1,
+                                             report["tol"])
+            assert report["failures"] == expected
+            assert report["holds"] == (not expected)
+            failing += len(expected)
+            passing += beliefs.shape[0] - len(expected)
     assert failing and passing
 
 
@@ -219,20 +220,12 @@ def test_psi_requires_shared_transition():
 # Range containment and shape
 # ---------------------------------------------------------------------------
 
-# Unchecked, -1 would index the last action and 5 would raise IndexError.
-@pytest.mark.parametrize("u_low, u_high", [(-1, 0), (0, 5)])
-def test_range_containment_rejects_action_index_out_of_range(ex1, u_low,
-                                                             u_high):
-    with pytest.raises(ValueError, match="out of range"):
-        verify_range_containment(ex1, [[0.3, 0.3, 0.4]], u_low, u_high)
-
-
 def test_range_containment_on_fixtures():
     rng = np.random.default_rng(3)
     beliefs = rng.dirichlet(np.ones(3), size=40)
     for name in ("ex1", "ex2"):
         m = gen_example(name)
-        report = verify_range_containment(m, beliefs, 0, 1)
+        report = verify_range_containment(m, beliefs)[0]
         assert report["holds"], report["failures"][:2]
 
 
@@ -241,23 +234,23 @@ def test_range_containment_detects_violation():
     # sensor pins every posterior at the prior, so putting the uninformative
     # sensor in the high role breaks containment at any interior belief
     base = gen_example("ex1")
-    m = make_model("uniform-vs-identity", base.discount, base.transition[0],
+    m = PomdpModel("uniform-vs-identity", base.discount, base.transition[0],
                    [np.eye(3), np.full((3, 3), 1.0 / 3.0)], base.reward)
     rng = np.random.default_rng(4)
     beliefs = rng.dirichlet(np.ones(3), size=40)
-    report = verify_range_containment(m, beliefs, 0, 1)
+    report = verify_range_containment(m, beliefs)[0]
     assert not report["holds"]
     assert report["failures"]
     # and with the roles the right way round it is satisfied
-    m_ok = make_model("identity-over-uniform", base.discount,
+    m_ok = PomdpModel("identity-over-uniform", base.discount,
                       base.transition[0],
                       [np.full((3, 3), 1.0 / 3.0), np.eye(3)], base.reward)
-    assert verify_range_containment(m_ok, beliefs, 0, 1)["holds"]
+    assert verify_range_containment(m_ok, beliefs)[0]["holds"]
 
 
 def test_value_shape_on_exact_solve(ex1):
     vf = solve_exact(ex1, horizon=6)
-    report = verify_value_monotone_convex(vf, num_lines=40, seed=7)
+    report = verify_value_monotone_convex(vf)
     assert report["monotone_ok"] and report["convex_ok"]
     assert report["min_convexity_margin"] >= -1e-9
 
@@ -267,7 +260,7 @@ def test_value_shape_flags_nonmonotone_envelope():
     vf = type("VF", (), {})()
     vf.vectors = np.array([[1.0, 0.0, 0.0]])
     vf.values_at = lambda pts: pts @ vf.vectors[0]
-    report = verify_value_monotone_convex(vf, num_lines=10, seed=0)
+    report = verify_value_monotone_convex(vf)
     assert not report["monotone_ok"]
     assert report["convex_ok"]
 
@@ -280,7 +273,7 @@ def test_reward_shift_preserves_optimal_actions(ex1):
     # a state potential common to all actions, steep enough to make every
     # reward row increasing: 3.6 = reward spread + 1
     delta = 3.6 * np.arange(1.0, 4.0)
-    shifted = make_model("ex1_shifted", ex1.discount, ex1.transition,
+    shifted = PomdpModel("ex1_shifted", ex1.discount, ex1.transition,
                          ex1.observation, ex1.reward + delta)
     pts = belief_grid(3, 12)
     vf_a = solve_exact(ex1, horizon=6)
@@ -301,13 +294,13 @@ def test_reward_shift_preserves_optimal_actions(ex1):
 def test_compare_models_preconditions(hier, hier_weak, ex1):
     with pytest.raises(ValueError):
         compare_models(hier, ex1, resolution=5, horizon=2)
-    worse_reward = make_model(name="r", discount=hier.discount,
+    worse_reward = PomdpModel(name="r", discount=hier.discount,
                               transition=hier.transition[0],
                               observation=hier.observation,
                               reward=hier.reward * 2.0)
     with pytest.raises(ValueError):
         compare_models(hier, worse_reward, resolution=5, horizon=2)
-    other_discount = make_model(name="d", discount=0.5,
+    other_discount = PomdpModel(name="d", discount=0.5,
                                 transition=hier.transition[0],
                                 observation=hier.observation,
                                 reward=hier.reward)
@@ -337,7 +330,7 @@ def test_compare_models_hierarchical_pair_small(hier, hier_weak):
 
 def test_verification_report_sections_and_json(ex1):
     report = verification_report(ex1, resolution=15, horizon=40,
-                                 method="grid", num_psi_beliefs=30, seed=3)
+                                 method="grid")
     for key in ("assumptions", "theorem1", "theorem3", "theorem5", "psi",
                 "value_shape"):
         assert key in report
@@ -350,7 +343,6 @@ def test_verification_report_sections_and_json(ex1):
 def test_verification_report_skips_psi_without_shared_kernel():
     rng = np.random.default_rng(9)
     m = random_model(rng, 2, 2, 2, shared=False, discount=0.6)
-    report = verification_report(m, resolution=8, horizon=10, method="grid",
-                                 num_psi_beliefs=10)
+    report = verification_report(m, resolution=8, horizon=10, method="grid")
     assert report["psi"] is None
     json.dumps(report)
