@@ -18,7 +18,22 @@ The package splits into five layers:
 
 :mod:`pomdpcheck.examples` bundles the example generators and
 :mod:`pomdpcheck.cli` exposes everything as the ``pomdpcheck`` command.
+
+Imported before NumPy, the package sets ``OPENBLAS_NUM_THREADS=1`` unless
+the variable is already set, so OpenBLAS starts no worker thread.
 """
+
+import os
+
+# On models of a few states every product is far below the size at which
+# OpenBLAS hands half of it to a second thread (_score_blocks keeps its
+# blocks under it), yet the worker OpenBLAS starts at `import numpy`
+# busy-waits while a command runs: at 3 states `check` spent twice its wall
+# time in CPU.  Pin one thread unless the user chose a count.  This only
+# takes effect if NumPy is not imported yet, as in the console script,
+# `python -m pomdpcheck.cli` and the test suite; a program that imported
+# NumPy first keeps whatever OpenBLAS read then.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .examples import gen_example, list_examples
 from .model import (ModelFormatError, PomdpModel, belief_grid, load_model,

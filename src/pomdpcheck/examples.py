@@ -21,6 +21,8 @@ name and forwards keyword parameters.
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 from .model import PomdpModel
@@ -134,8 +136,11 @@ def tridiagonal(num_states: int = 4, p: float = 0.6, q: float = 0.7,
     p < q_boundary <= 1.  The drift kernel is the standard lazy random walk
     with 0.8 holding probability.
     """
-    if num_states < 2:
-        raise ValueError("num_states must be at least 2")
+    if type(num_states) is not int or num_states < 2:
+        raise ValueError("num_states must be an integer of at least 2")
+    for name, value in (("p", p), ("q", q), ("q_boundary", q_boundary)):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a number")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if not 0.0 <= q <= (1.0 + p) / 2.0:

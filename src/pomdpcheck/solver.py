@@ -9,7 +9,7 @@ on a coarse grid, the warm start for the exact solver's residual mode.
 Every envelope evaluation (grid backup, Q-values, values at points, the
 pruner's top-two test) scores beliefs against all vectors through
 :func:`_score_blocks`, in blocks of as many beliefs as keep each product
-within _GEMM_BUDGET multiply-adds, so it stays on one BLAS thread.  No
+within _GEMM_BUDGET multiply-adds, so each block stays cache-sized.  No
 beliefs x vectors matrix is built.  After its first sweep the grid solver
 computes Q only for the (point, action) pairs that an upper bound cannot
 exclude: the interpolation of the last sweep's grid values over the
@@ -48,10 +48,13 @@ _BOUND_RTOL = 1e-10
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _NO_ROW = np.iinfo(np.int64).max  # tie-break filler: never the smallest basis index
-# Multiply-adds per score block.  OpenBLAS 0.3.31 splits a GEMM over two
-# threads once m*n*k >= 2**19 (measured: 524 160 ran on one thread, 524 544
-# on two); for products this small the second thread mostly waits, so blocks
-# stay at half that threshold, on one thread and cache-sized.
+# Multiply-adds per score block.  Blocks stay cache-sized: with one BLAS
+# thread (the package default) `solve_grid` on ex2 at resolution 35 took a
+# median 0.283 s at 2**18 against 0.327, 0.332 and 0.329 s at 2**16, 2**20
+# and 2**22 (2-core box, 5 runs each).  It is also half the size at which
+# OpenBLAS 0.3.31 splits a GEMM over two threads when more are allowed
+# (measured: 524 160 multiply-adds ran on one thread, 524 544 on two); for
+# products this small the second thread mostly waits.
 _GEMM_BUDGET = 2**18
 # Tableau bytes per margin-LP batch.  Smaller batches fault in fewer fresh
 # temporaries but ran slower: 120 KB batches took `solve ex1 --method exact
@@ -70,7 +73,7 @@ class CapacityError(RuntimeError):
 def _score_blocks(points: np.ndarray, rows: np.ndarray):
     """Yield (start, points[start:start + b] @ rows.T) for blocks of b
     points, as many as keep each product within _GEMM_BUDGET multiply-adds
-    (at least one), so that it stays on one BLAS thread.  Each block is
+    (at least one), so that it stays cache-sized.  Each block is
     written over the last in one buffer allocated per call: fresh blocks
     past the mmap threshold are mapped and faulted in anew, which can cost
     as much as the products."""

@@ -3,6 +3,7 @@ generator round-trip, and the README's list of package entry points."""
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pomdpcheck
 from pomdpcheck import (PomdpModel, assumption_report, gamma_matrices,
                         gen_example, list_examples, loads_model, model_to_json,
                         save_model)
@@ -348,6 +350,10 @@ def test_gen_rejects_invalid_params():
     for param in ("garbled=no", "garbled=off", "garbled=1", "levels=true",
                   "levels=2.0"):
         assert main(["gen", "hierarchical", "--param", param]) == 2
+    # ... and tridiagonal must not read a bool as 0 or 1, nor 3.0 as 3
+    for param in ("q=false", "p=true", "q_boundary=true", "num_states=true",
+                  "num_states=3.0", "p=high"):
+        assert main(["gen", "tridiagonal", "--param", param]) == 2
 
 
 def test_gen_unknown_name_rejected_by_parser():
@@ -366,14 +372,59 @@ def test_gen_stdout(capsys):
 # Console entry point
 # ---------------------------------------------------------------------------
 
+def run_child(args, **env):
+    """Run ``python args`` in a fresh interpreter that imports the same
+    ``pomdpcheck`` as this one, with ``env`` over this process's
+    environment; a value of None removes that variable."""
+    child = dict(os.environ)
+    source = str(Path(pomdpcheck.__file__).resolve().parents[1])
+    child["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, child.get("PYTHONPATH")]))
+    for name, value in env.items():
+        if value is None:
+            child.pop(name, None)
+        else:
+            child[name] = value
+    return subprocess.run([sys.executable, *args], env=child,
+                          capture_output=True, text=True)
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "m.json"
     save_model(gen_example("ex1"), path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pomdpcheck.cli", "validate", str(path)],
-        capture_output=True, text=True)
+    proc = run_child(["-m", "pomdpcheck.cli", "validate", str(path)])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+# Reports the variable and, where the kernel lists them, the thread count
+# just after the import.
+THREADS_AFTER_IMPORT = """
+import json, os
+import pomdpcheck
+task = "/proc/self/task"
+print(json.dumps({
+    "value": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+}))
+"""
+
+
+def test_import_pins_one_blas_thread_by_default():
+    # The suite's own process already set the variable; the child starts
+    # without it, as a shell that never set it would.
+    proc = run_child(["-c", THREADS_AFTER_IMPORT], OPENBLAS_NUM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["value"] == "1"
+    if doc["threads"] is not None:
+        assert doc["threads"] == 1
+
+
+def test_import_keeps_an_explicit_blas_thread_count():
+    proc = run_child(["-c", THREADS_AFTER_IMPORT], OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == "2"
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +432,6 @@ def test_module_entry_point(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_readme_entry_points_are_exported():
-    import pomdpcheck
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme[readme.index("Key entry points:"):].split("\n\n")[0]
     names = re.findall(r"`([A-Za-z_]\w*)`", paragraph)
