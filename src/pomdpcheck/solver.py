@@ -10,12 +10,12 @@ Every envelope evaluation (grid backup, Q-values, values at points, the
 pruner's top-two test) scores beliefs against all vectors through
 :func:`_score_blocks`, in blocks of as many beliefs as keep each product
 within _GEMM_BUDGET multiply-adds, so each block stays cache-sized.  No
-beliefs x vectors matrix is built.  After its first sweep the grid solver
-computes Q only for the (point, action) pairs that an upper bound cannot
-exclude: the interpolation of the last sweep's grid values over the
-Freudenthal cells of the posteriors (Lovejoy, Oper. Res. 1991).  The pairs
-it computes are bit for bit :func:`_q_batch`'s, so the Q that verification
-measures is the one the grid backup maximized.
+beliefs x vectors matrix is built.  Each grid sweep computes Q only for the
+(point, action) pairs that an upper bound cannot exclude: the interpolation
+of the last sweep's grid values over the Freudenthal cells of the
+posteriors (Lovejoy, Oper. Res. 1991); a negative discount voids the bound.
+The pairs it computes are bit for bit :func:`_q_batch`'s, so the Q that
+verification measures is the one the grid backup maximized.
 
 Pruning relies on a batched game-value LP: the margin of a candidate vector
 against a reference set is the value of a matrix game whose rows are states
@@ -480,13 +480,13 @@ def _sup_residual(new_vectors: np.ndarray, old_vectors: np.ndarray) -> float:
 
 def _mode_or_error(horizon, residual) -> None:
     """Reject a stop rule unless it is exactly one of a nonnegative integer
-    horizon and a positive residual."""
+    horizon and a positive finite residual."""
     if (horizon is None) == (residual is None):
         raise ValueError("exactly one of horizon and residual must be given")
     if horizon is not None and (int(horizon) != horizon or horizon < 0):
         raise ValueError("horizon must be a nonnegative integer")
-    if residual is not None and not residual > 0.0:
-        raise ValueError("residual must be positive")
+    if residual is not None and not 0.0 < residual < np.inf:
+        raise ValueError("residual must be positive and finite")
 
 
 def solve_exact(m: PomdpModel, *, horizon: int | None = None,
@@ -555,49 +555,26 @@ def _projections(m: PomdpModel, vectors: np.ndarray) -> np.ndarray:
 
 
 def _add_future(m: PomdpModel, projections: np.ndarray, beliefs: np.ndarray,
-                q: np.ndarray, best_idx: np.ndarray, need=None) -> None:
+                q: np.ndarray, best_idx: np.ndarray, need: np.ndarray) -> None:
     """Add to q[p, u], per observation in order, the best back-projection's
     score at belief p (exactly zero for a zero-probability observation),
-    and record its row in best_idx[p, u, y], for the pairs with need[p, u]
-    (every pair when need is None).  A lone needed belief is scored as two
-    equal rows: its product is then a matrix product, as among the whole
-    grid, and not a matrix-vector product, which BLAS rounds differently.
-    Scoring a subset of the beliefs reproduces their scores among all of
-    them only as far as BLAS rounds an entry the same whatever the row
-    count of its product; OpenBLAS can round the last few columns of some
-    products differently."""
+    and record its row in best_idx[p, u, y], for the pairs with need[p, u].
+    A lone needed belief among several is scored as two equal rows: its
+    product is then a matrix product, as among the whole grid, and not a
+    matrix-vector product, which BLAS rounds differently.  Scoring a subset
+    of the beliefs reproduces their scores among all of them only as far as
+    BLAS rounds an entry the same whatever the row count of its product;
+    OpenBLAS can round the last few columns of some products differently."""
     for u in range(m.num_actions):
-        if need is None:
-            sel, points = slice(None), beliefs
-        else:
-            sel = np.flatnonzero(need[:, u])
-            if sel.size == 0:
-                continue
-            points = beliefs[np.repeat(sel, 2) if sel.size == 1 else sel]
-        total = q[sel, u]
-        best = np.empty((total.size, m.num_obs), dtype=np.int64)
+        sel = np.flatnonzero(need[:, u])
+        if sel.size == 0:
+            continue
+        points = beliefs if sel.size == beliefs.shape[0] else \
+            beliefs[np.repeat(sel, 2) if sel.size == 1 else sel]
         for y in range(m.num_obs):
             idx, val = _best_rows(points, projections[u, y])
-            best[:, y] = idx[:total.size]
-            total += val[:total.size]
-        q[sel, u] = total
-        best_idx[sel, u] = best
-
-
-def _point_q(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray,
-             need=None):
-    """Q(pi, u) at every belief row: the immediate reward plus, per
-    observation in order, the best back-projection's score (exactly zero
-    for a zero-probability observation).  Only the pairs with need[p, u]
-    get the scores when ``need`` is given; the others keep the reward term.
-    Returns (q, best_idx, projections), best_idx[p, u, y] being the best row
-    of projections[u, y]."""
-    projections = _projections(m, vectors)
-    q = beliefs @ m.reward.T                                 # (P, U)
-    best_idx = np.empty((beliefs.shape[0], m.num_actions, m.num_obs),
-                        dtype=np.int64)
-    _add_future(m, projections, beliefs, q, best_idx, need)
-    return q, best_idx, projections
+            best_idx[sel, u, y] = idx[:sel.size]
+            q[sel, u] += val[:sel.size]
 
 
 def _posterior_cells(m: PomdpModel, beliefs: np.ndarray, resolution: int):
@@ -657,34 +634,27 @@ def _grid_backup(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray, *,
     """
     num_points = beliefs.shape[0]
     lanes = np.arange(num_points)
-    if cells is None:
-        q, best_idx, projections = _point_q(m, vectors, beliefs)
-    else:
-        need = np.zeros((num_points, m.num_actions), dtype=bool)
+    projections = _projections(m, vectors)
+    q = beliefs @ m.reward.T                                 # (P, U)
+    best_idx = np.empty(q.shape + (m.num_obs,), dtype=np.int64)
+    need = np.full(q.shape, cells is None)
+    if cells is not None:
         need[lanes, acts] = True
-        q, best_idx, projections = _point_q(m, vectors, beliefs, need)
+    _add_future(m, projections, beliefs, q, best_idx, need)
+    if cells is not None:
         margin = _BOUND_RTOL * max(np.abs(values).max(), np.abs(vectors).max(),
                                    np.abs(m.reward).max())
         # Skip only what the bound proves: a NaN comparison scores the pair.
         extra = ~(_q_upper(m, beliefs, cells, values)
                   < (q[lanes, acts] - margin)[:, None])
         extra &= ~need
-        if extra.any():
-            _add_future(m, projections, beliefs, q, best_idx, extra)
-            need |= extra
-        q[~need] = -np.inf
+        _add_future(m, projections, beliefs, q, best_idx, extra)
+        q[~(need | extra)] = -np.inf
     acts = np.argmax(q, axis=1)
-    values = q[lanes, acts]
-    alphas = np.empty((num_points, m.num_states))
-    for u in range(m.num_actions):
-        sel = np.flatnonzero(acts == u)
-        if sel.size == 0:
-            continue
-        alpha_u = np.tile(m.reward[u], (sel.size, 1))
-        for y in range(m.num_obs):
-            alpha_u += projections[u, y][best_idx[sel, u, y]]
-        alphas[sel] = alpha_u
-    return values, alphas, acts
+    alphas = m.reward[acts]
+    for y in range(m.num_obs):
+        alphas += projections[acts, y, best_idx[lanes, acts, y]]
+    return q[lanes, acts], alphas, acts
 
 
 def _residual_sweeps(m: PomdpModel, residual: float) -> int:
@@ -729,10 +699,10 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
     the distinct backed-up vectors of the previous sweep, at most one per
     grid point.  The resulting envelope is a convex lower bound on the exact
     value function (each backup is an exact Bellman backup of a lower
-    approximation), exact at grid points for the horizon solved.  When the
-    probabilities and the discount are nonnegative, sweeps after the first
-    score only the pairs that :func:`_grid_backup`'s bound cannot exclude;
-    the gather arrays of that bound are built once.
+    approximation), exact at grid points for the horizon solved.  With
+    nonnegative probabilities and discount, a solve of two or more sweeps
+    skips the pairs that :func:`_grid_backup`'s bound excludes (at the zero
+    start, the actions whose reward loses strictly); others score every pair.
 
     A ``residual`` target runs the a-priori sweep count of
     :func:`_residual_sweeps`, since the point-based change can floor above a
@@ -747,12 +717,13 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
     actions = np.zeros(1, dtype=int)
     point_vector = np.zeros(num_points, dtype=int)
     values = np.zeros(num_points)
+    acts = np.zeros(num_points, dtype=int)
     history: list[float] = []
-    cells = acts = None
-    bounded = min(m.discount, m.transition.min(), m.observation.min()) >= 0.0
-    for sweep in range(sweeps):
-        if sweep == 1 and bounded:
-            cells = _posterior_cells(m, beliefs, resolution)
+    cells = None
+    if sweeps > 1 and min(m.discount, m.transition.min(),
+                          m.observation.min()) >= 0.0:
+        cells = _posterior_cells(m, beliefs, resolution)
+    for _ in range(sweeps):
         new_values, alphas, acts = _grid_backup(m, vectors, beliefs, cells=cells,
                                                 values=values, acts=acts)
         history.append(float(np.abs(new_values - values).max()))
@@ -769,11 +740,15 @@ def solve_grid(m: PomdpModel, *, resolution: int = 100,
 # ---------------------------------------------------------------------------
 
 def _q_batch(m: PomdpModel, vectors: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
-    """Q(pi, u) for every belief row and action (see :func:`_point_q`).  The
-    grid backup computes Q only for the pairs its bound cannot exclude, and
-    each of those bit for bit as here."""
+    """Q(pi, u) for every belief row and action: the immediate reward plus
+    :func:`_add_future`'s scores.  The grid backup computes Q only for the
+    pairs its bound cannot exclude, and each of those bit for bit as here."""
     beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
-    return _point_q(m, vectors, beliefs)[0]
+    q = beliefs @ m.reward.T                                 # (P, U)
+    best_idx = np.empty(q.shape + (m.num_obs,), dtype=np.int64)
+    _add_future(m, _projections(m, vectors), beliefs, q, best_idx,
+                np.ones(q.shape, dtype=bool))
+    return q
 
 
 def _lowest_argmax(scores: np.ndarray) -> np.ndarray:

@@ -140,12 +140,14 @@ def slack_budget(m: PomdpModel, *, residual: float | None = None,
     Residual-mode solves are within residual/(1-rho) of the fixed point in
     sup norm, so a comparison of two such values needs 2*residual/(1-rho).
     Horizon-mode solves started from zero are within rho^k * Rmax/(1-rho),
-    doubled the same way.  Exactly one mode must be given.
+    doubled the same way.  Exactly one mode must be given.  Outside
+    0 <= rho < 1 neither bound holds, and ValueError is raised.
     """
     _mode_or_error(horizon, residual)
+    if not 0.0 <= m.discount < 1.0:
+        raise ValueError(f"a slack budget needs a discount in [0, 1), "
+                         f"got {m.discount}")
     one_minus = 1.0 - m.discount
-    if one_minus <= 0.0:
-        raise ValueError("slack budget requires discount < 1")
     if residual is not None:
         return 2.0 * float(residual) / one_minus
     rmax = float(np.abs(m.reward).max())

@@ -256,6 +256,39 @@ def test_residual_solve_rejects_discount_outside_unit_interval(
     assert "discount in [0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "compare"])
+def test_non_finite_residual_exits_two(capsys, ex1_path, command):
+    """An infinite residual target used to pass as positive: `solve` exited
+    0 after one backup, `verify` and `compare` failed only when writing the
+    report."""
+    models = [ex1_path] * (2 if command == "compare" else 1)
+    assert main([command, *models, "--grid", "5", "--residual", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "residual must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("command, models", [
+    ("verify", [("ex1", {})]),
+    ("compare", [("hierarchical", {}), ("hierarchical", {"garbled": True})])])
+def test_slack_budget_rejects_negative_discount(capsys, tmp_path, command,
+                                                models):
+    """The slack of `verify` and `compare` bounds nothing for a negative
+    discount; at -0.5 and horizon 5 it read negative and both exited 1."""
+    paths = []
+    for k, (name, params) in enumerate(models):
+        m = gen_example(name, **params)
+        paths.append(str(tmp_path / f"negative{k}.json"))
+        save_model(PomdpModel(name="negative", discount=-0.5,
+                              transition=m.transition,
+                              observation=m.observation, reward=m.reward),
+                   paths[-1])
+    assert main([command, *paths, "--grid", "10", "--horizon", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "discount in [0, 1)" in captured.err
+
+
 def test_horizon_solve_allows_discount_above_one(capsys, tmp_path):
     m = gen_example("ex1")
     path = tmp_path / "bad.json"

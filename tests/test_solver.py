@@ -457,30 +457,57 @@ def test_grid_backup_matches_pointwise_oracle():
     buffer leaves the first call's results untouched."""
     rng = np.random.default_rng(42)
 
-    def check(m, vectors, beliefs):
-        values, alphas, acts = _grid_backup(m, vectors, beliefs)
+    def check(m, vectors, beliefs, resolution):
+        """Both backups, every pair and the bounded one (the carried
+        envelope's grid values, seeded random last actions), against the
+        oracle; then a mask with one needed belief in an action's column,
+        which pads it to two rows.  Returns the all-pairs backup."""
         q = np.array([point_backup_q(m, vectors, pi) for pi in beliefs])
-        assert np.abs(values - q.max(axis=1)).max() <= 1e-12
-        assert np.abs(np.einsum("px,px->p", alphas, beliefs)
-                      - values).max() <= 1e-12
-        assert (q[np.arange(q.shape[0]), acts] >= q.max(axis=1) - 1e-12).all()
-        return values, alphas, acts
+        lanes = np.arange(q.shape[0])
+        cells = solver._posterior_cells(m, beliefs, resolution)
+        bounded = {"cells": cells, "values": _best_rows(beliefs, vectors)[1],
+                   "acts": rng.integers(0, m.num_actions, q.shape[0])}
+        backups = [_grid_backup(m, vectors, beliefs, **kwargs)
+                   for kwargs in ({}, bounded)]
+        for values, alphas, acts in backups:
+            assert np.abs(values - q.max(axis=1)).max() <= 1e-12
+            assert np.abs(np.einsum("px,px->p", alphas, beliefs)
+                          - values).max() <= 1e-12
+            assert (q[lanes, acts] >= q.max(axis=1) - 1e-12).all()
+
+        need = rng.random(q.shape) < 0.5
+        lone = int(rng.integers(m.num_actions))
+        need[:, lone] = False
+        need[int(rng.integers(q.shape[0])), lone] = True
+        projections = solver._projections(m, vectors)
+        masked = beliefs @ m.reward.T
+        best_idx = np.full(q.shape + (m.num_obs,), -1)
+        solver._add_future(m, projections, beliefs, masked, best_idx, need)
+        assert np.abs(masked - q)[need].max() <= 1e-12
+        assert (best_idx[~need] == -1).all()
+        points, actions = np.nonzero(need)
+        alphas = m.reward[actions] + sum(
+            projections[actions, y, best_idx[points, actions, y]]
+            for y in range(m.num_obs))
+        assert np.abs(np.einsum("px,px->p", alphas, beliefs[points])
+                      - q[points, actions]).max() <= 1e-12
+        return backups[0]
 
     beliefs = belief_grid(3, 45)
     for num_obs, num_actions in ((2, 2), (3, 2), (2, 3)):
         m = random_model(rng, 3, num_obs, num_actions)
         vectors = rng.uniform(-1.0, 2.0, (int(rng.integers(81, 90)), 3))
         assert _GEMM_BUDGET // vectors.size < beliefs.shape[0]
-        check(m, vectors, beliefs)
+        check(m, vectors, beliefs, 45)
 
     small = belief_grid(3, 5)
     m = random_model(rng, 3, 3, 2)
     vectors = rng.uniform(-1.0, 2.0, (40, 3))
     assert small.shape[0] == 21 < _GEMM_BUDGET // (65 * 3)
-    first = check(m, vectors, small)
+    first = check(m, vectors, small, 5)
     kept = [arr.copy() for arr in first]
-    check(m, np.vstack([vectors, rng.uniform(-1.0, 2.0, (25, 3))]), small)
-    check(m, vectors[:3], small)
+    check(m, np.vstack([vectors, rng.uniform(-1.0, 2.0, (25, 3))]), small, 5)
+    check(m, vectors[:3], small, 5)
     for arr, copy in zip(first, kept):
         assert np.array_equal(arr, copy)
 
@@ -508,6 +535,14 @@ def test_grid_residual_runs_a_priori_sweeps():
     assert vf.iterations == _residual_sweeps(m, 1e-5) == len(vf.residuals)
     # the change reached is reported, not the target
     assert vf.residual == vf.residuals[-1] > 1e-5
+
+
+@pytest.mark.parametrize("solve", [solve_grid, solve_exact])
+def test_non_finite_residual_is_rejected(solve):
+    """An infinite residual target used to stop either solver after one
+    backup."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve(gen_example("ex1"), residual=float("inf"), resolution=5)
 
 
 def test_grid_refinement_stays_within_residual_budget():

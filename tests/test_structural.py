@@ -72,6 +72,14 @@ def test_slack_budget_formulas(ex1):
         slack_budget(ex1, residual=1e-8, horizon=10)
     with pytest.raises(ValueError):
         slack_budget(ex1)
+    # rho^k and 1 - rho bound nothing for a negative discount: at -0.5 the
+    # horizon-5 formula went negative and the horizon-4 one divided by 1.5.
+    negative = PomdpModel(name="negative", discount=-0.5,
+                          transition=ex1.transition,
+                          observation=ex1.observation, reward=ex1.reward)
+    for stop in ({"residual": 1e-8}, {"horizon": 4}, {"horizon": 5}):
+        with pytest.raises(ValueError, match=r"discount in \[0, 1\)"):
+            slack_budget(negative, **stop)
 
 
 def test_residual_sweep_count(ex1):
