@@ -20,8 +20,10 @@ verification measures is the one the grid backup maximized.
 Pruning relies on a batched game-value LP: the margin of a candidate vector
 against a reference set is the value of a matrix game whose rows are states
 and whose columns are reference vectors, solved in shifted dual form so no
-phase-1 start is ever needed.  The pruner holds its candidate sets as
-boolean masks and ascending index arrays over the distinct input vectors.
+phase-1 start is ever needed.  Before any LP, a closed-form screen drops the
+candidates lying within eps below a chord of two admitted vectors.  The
+pruner holds its candidate sets as boolean masks and ascending index arrays
+over the distinct input vectors.
 """
 
 from __future__ import annotations
@@ -303,6 +305,72 @@ def _margins(cands: np.ndarray, refs: np.ndarray):
     return margins, witnesses
 
 
+def _nearest_refs(cands: np.ndarray, refs: np.ndarray):
+    """Per candidate v: the index of the reference w of least
+    max_x (v - w)_x (lowest among ties) and that least value, which bounds
+    v's margin against refs from above, since the margin against a set is
+    at most the margin against any member.  The max over coordinates is a
+    running maximum of (n, R) slices, in blocks whose two buffers, allocated
+    once per call, hold at most _LP_BATCH_BYTES."""
+    nearest = np.empty(cands.shape[0], dtype=np.int64)
+    bound = np.empty(cands.shape[0])
+    refs_t = refs.T                                          # (X, R)
+    block = max(1, min(cands.shape[0], _LP_BATCH_BYTES // (16 * refs.shape[0])))
+    work = np.empty((2, block, refs.shape[0]))
+    for start in range(0, cands.shape[0], block):
+        part_t = cands[start:start + block].T                # (X, n)
+        gaps, diff = work[:, :part_t.shape[1]]
+        np.subtract.outer(part_t[0], refs_t[0], out=gaps)
+        for i in range(1, refs.shape[1]):
+            np.subtract.outer(part_t[i], refs_t[i], out=diff)
+            np.maximum(gaps, diff, out=gaps)
+        idx = np.argmin(gaps, axis=1)
+        nearest[start:start + idx.size] = idx
+        bound[start:start + idx.size] = gaps[np.arange(idx.size), idx]
+    return nearest, bound
+
+
+def _chord_covered(cands: np.ndarray, refs: np.ndarray, eps: float) -> np.ndarray:
+    """Mask of the candidates v that lie within eps below a chord of two
+    reference vectors: v <= (1 - mu) w1 + mu w2 + eps at every coordinate
+    for some mu in [0, 1], where w1 is v's nearest reference
+    (:func:`_nearest_refs`) and w2 is any reference.
+
+    Such a v has margin at most eps against refs, with no LP: at every
+    belief pi, min_w (v - w)'pi is at most (1 - mu) (v - w1)'pi
+    + mu (v - w2)'pi.  mu = 0, or w2 = w1, is the single-reference test
+    max_x (v - w1)_x <= eps.  Otherwise, with a = v - w1 - eps,
+    d = w2 - w1 and nu = 1 / mu >= 1, each coordinate asks
+    nu <= d_x / a_x where a_x > 0 and nu >= d_x / a_x where a_x < 0; a
+    coordinate with a_x = 0 is priced as a_x = 1, which asks more and so
+    stays sound.  Candidates go in blocks whose three float (n, R) buffers,
+    allocated once per call, and one boolean hold at most _LP_BATCH_BYTES.
+    """
+    nearest, bound = _nearest_refs(cands, refs)
+    covered = bound <= eps
+    rest = np.flatnonzero(~covered)
+    refs_t = refs.T                                          # (X, R)
+    block = max(1, min(rest.size, _LP_BATCH_BYTES // (25 * refs.shape[0])))
+    work = np.empty((3, block, refs.shape[0]))
+    for start in range(0, rest.size, block):
+        rows = rest[start:start + block]
+        near = refs[nearest[rows]]                           # w1, (n, X)
+        slack = cands[rows] - near - eps                     # a
+        inv = np.divide(1.0, slack, out=np.ones_like(slack),
+                        where=slack != 0.0)
+        ceiling, floor, ratio = work[:, :rows.size]          # nu's bounds
+        ceiling.fill(np.inf)
+        floor.fill(1.0)
+        for i in range(refs.shape[1]):
+            np.subtract(refs_t[i], near[:, i, None], out=ratio)
+            ratio *= inv[:, i, None]
+            over = (slack[:, i] >= 0.0)[:, None]
+            np.minimum(ceiling, ratio, out=ceiling, where=over)
+            np.maximum(floor, ratio, out=floor, where=~over)
+        covered[rows] = (floor <= ceiling).any(axis=1)
+    return covered
+
+
 def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     """Ascending indices of the vectors forming the upper envelope.
 
@@ -310,10 +378,11 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     by more than eps.  Stages: exact dedupe; grid-argmax certification of
     clear winners (a vector beating every rival by > eps at a grid point
     stays regardless of what else is removed); then rounds over the
-    remaining pool.  Each round drops candidates that lie within eps of one
-    admitted vector at every coordinate (pointwise dominance, without an
-    LP), runs batched margin LPs against the admitted set R and drops
-    candidates whose margin is already <= eps.  At each survivor's witness
+    remaining pool.  Each round drops, without an LP, the candidates that
+    lie within eps below a chord of two vectors of the admitted set R
+    (:func:`_chord_covered`; the chord of a vector with itself is pointwise
+    dominance), then runs batched margin LPs against R on the rest and
+    drops candidates whose margin is already <= eps.  At each survivor's witness
     belief it then admits the winner, the alive vector scoring highest
     there (lowest index among ties), whether or not that is the survivor
     (the filter of Lark and White; White, Ann. Oper. Res. 1991).  A winner
@@ -349,27 +418,13 @@ def _prune_arrays(cands: np.ndarray, eps: float) -> np.ndarray:
     removed = np.zeros(n, dtype=bool)
     pool = np.flatnonzero(~in_r)     # always the vectors in neither mask
 
-    num_states = cands.shape[1]
     while pool.size:
         refs = cands_u[in_r]
         pool_size = pool.size
 
-        # Cheap sound pre-drop: the margin against the set is at most the
-        # margin against any single member, min_w max_i (v_i - w_i), so
-        # anything that bound already kills never needs an LP.  The max over
-        # coordinates is a running maximum of (n, R) difference slices.
-        upper = np.empty(pool.size)
-        refs_t = refs.T                                      # (X, R)
-        for start in range(0, pool.size, 8192):
-            part_t = cands_u[pool[start:start + 8192]].T     # (X, n)
-            gaps = np.subtract.outer(part_t[0], refs_t[0])   # (n, R)
-            diff = np.empty_like(gaps)
-            for i in range(1, num_states):
-                np.subtract.outer(part_t[i], refs_t[i], out=diff)
-                np.maximum(gaps, diff, out=gaps)
-            upper[start:start + gaps.shape[0]] = gaps.min(axis=1)
-        removed[pool[upper <= eps]] = True
-        pool = pool[upper > eps]
+        covered = _chord_covered(cands_u[pool], refs, eps)
+        removed[pool[covered]] = True
+        pool = pool[~covered]
 
         margins, witnesses = _margins(cands_u[pool], refs)
         live = margins > eps
@@ -466,24 +521,36 @@ def _backup_arrays(m: PomdpModel, vectors: np.ndarray):
     return all_vectors[kept], all_actions[kept]
 
 
-def _sup_residual(new_vectors: np.ndarray, old_vectors: np.ndarray) -> float:
+def _sup_residual(new_vectors: np.ndarray, old_vectors: np.ndarray,
+                  floor: float) -> float:
     """Exact sup-norm distance between two alpha-vector envelopes.
 
     sup(V_new - V_old) is the largest margin of a new vector against the old
-    set and vice versa, so two batched margin calls certify the sup norm
-    over the whole simplex.
+    set and vice versa, so batched margin LPs certify the sup norm over the
+    whole simplex.  ``floor`` must be a lower bound on that sup, such as
+    the largest |V_new - V_old| on a grid, and at least 0.  A vector whose
+    single-reference bound (:func:`_nearest_refs`) is at most the running
+    maximum of the floor and the margins so far cannot raise it, so only
+    the others are priced; the result is the largest of the floor and the
+    margins priced.
     """
-    up, _ = _margins(new_vectors, old_vectors)
-    down, _ = _margins(old_vectors, new_vectors)
-    return float(max(up.max(), down.max(), 0.0))
+    sup = floor
+    for cands, refs in ((new_vectors, old_vectors), (old_vectors, new_vectors)):
+        priced = cands[_nearest_refs(cands, refs)[1] > sup]
+        if priced.size:
+            sup = max(sup, float(_margins(priced, refs)[0].max()))
+    return float(sup)
 
 
 def _mode_or_error(horizon, residual) -> None:
     """Reject a stop rule unless it is exactly one of a nonnegative integer
-    horizon and a positive finite residual."""
+    horizon (not a bool; an integral float counts) and a positive finite
+    residual."""
     if (horizon is None) == (residual is None):
         raise ValueError("exactly one of horizon and residual must be given")
-    if horizon is not None and (int(horizon) != horizon or horizon < 0):
+    if horizon is not None and (isinstance(horizon, (bool, np.bool_))
+                                or not 0 <= horizon < np.inf
+                                or horizon != int(horizon)):
         raise ValueError("horizon must be a nonnegative integer")
     if residual is not None and not 0.0 < residual < np.inf:
         raise ValueError("residual must be positive and finite")
@@ -524,8 +591,9 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
     while len(residuals) < steps:
         new_vectors, actions = _backup_arrays(m, vectors)
         new_values = _best_rows(history_grid, new_vectors)[1]
-        residuals.append(_sup_residual(new_vectors, vectors))
         grid_residuals.append(float(np.abs(new_values - grid_values).max()))
+        residuals.append(_sup_residual(new_vectors, vectors,
+                                       grid_residuals[-1]))
         vectors, grid_values = new_vectors, new_values
         if residual is not None and \
                 max(residuals[-1], grid_residuals[-1]) <= residual:

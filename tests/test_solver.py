@@ -12,10 +12,11 @@ from pomdpcheck import (CapacityError, PomdpModel, belief_grid, gen_example,
                         solve_exact, solve_grid, vf_to_dict)
 from pomdpcheck import solver
 from pomdpcheck.cli import main
-from pomdpcheck.solver import (_GEMM_BUDGET, ExactVF,
-                               _batch_margins, _best_rows, _grid_backup,
-                               _lowest_argmax, _q_batch, _residual_sweeps,
-                               _streaming_top2, _unique_rows)
+from pomdpcheck.solver import (_GEMM_BUDGET, PRUNE_EPS, ExactVF,
+                               _batch_margins, _best_rows, _chord_covered,
+                               _grid_backup, _lowest_argmax, _q_batch,
+                               _residual_sweeps, _streaming_top2,
+                               _sup_residual, _unique_rows)
 
 from oracles import (envelope_on_grid, expectimax_values, game_margin_oracle,
                      grid_sweeps_oracle, point_backup_q, random_belief,
@@ -135,7 +136,9 @@ def test_prune_admits_witness_winners(monkeypatch):
     """Each prune round admits the winner at every survivor's witness, so a
     candidate is not priced again round after round while it waits to win
     at its own witness.  ex1 at horizon 11 prices 25 073 LP candidates when
-    only the survivor itself can be admitted, and about 15 900 here."""
+    only the survivor itself can be admitted, 15 925 when the rounds admit
+    witness winners, and 4 176 once the chord screen and the residual's
+    grid floor keep covered candidates away from the LP."""
     priced = 0
     batch_margins = solver._batch_margins
 
@@ -146,7 +149,7 @@ def test_prune_admits_witness_winners(monkeypatch):
 
     monkeypatch.setattr(solver, "_batch_margins", counting)
     solve_exact(gen_example("ex1"), horizon=11)
-    assert priced <= 18_000
+    assert priced <= 6_000
 
 
 def test_forced_vectors_are_retested_in_batches(monkeypatch):
@@ -221,6 +224,109 @@ def test_retest_forced_matches_one_at_a_time(monkeypatch, budget):
         assert np.array_equal(in_r, expected)
         dropped += int((~in_r[pending]).sum())
     assert dropped and revived
+
+
+def test_chord_screen_drops_only_what_the_lp_would():
+    """Every candidate the closed-form screen removes has margin at most eps
+    against the references, by the vertex-enumeration oracle.  Candidates
+    sit on random chords of two references, moved by up to two eps per
+    coordinate.  Integer vectors with eps = 1 make many slacks exactly
+    zero; the cross-sums with shifted copies are screened against their
+    own envelope."""
+    rng = np.random.default_rng(38)
+    chord_only = kept = 0
+    for trial in range(40):
+        x = int(rng.integers(2, 6))
+        kind = trial % 4
+        if kind == 3:
+            vectors = _cross_sum_with_shifted_copies(rng)
+            x, eps = vectors.shape[1], PRUNE_EPS
+            refs = prune(vectors)[0]
+        elif kind == 2:
+            refs, eps = rng.integers(-3, 4, (int(rng.integers(2, 7)), x)) * 1.0, 1.0
+        else:
+            refs = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 7)), x))
+            eps = (PRUNE_EPS, 0.05)[kind]
+        i, j = rng.integers(refs.shape[0], size=(2, 60))
+        mu = rng.integers(0, 5, (60, 1)) / 4.0
+        moves = rng.integers(-2, 3, (60, x)) if kind == 2 else \
+            rng.uniform(-2.0, 2.0, (60, x))
+        cands = (1.0 - mu) * refs[i] + mu * refs[j] + moves * eps
+        if kind == 3:
+            cands = np.vstack([cands, vectors])
+        covered = _chord_covered(cands, refs, eps)
+        for v in cands[covered]:
+            assert game_margin_oracle(v, refs) <= eps + 1e-12
+        single = (cands[:, None, :] - refs[None, :, :]).max(axis=2).min(axis=1)
+        chord_only += int((covered & (single > eps)).sum())
+        kept += int((~covered).sum())
+    assert chord_only and kept
+
+
+def test_chord_screen_sends_only_uncovered_candidates_to_the_lp(monkeypatch):
+    """Two envelope vectors cross at a belief off the prune's grid.  Their
+    midpoint lowered by 1e-12 lies under their chord and never reaches a
+    margin LP; the midpoint raised by 1e-6 wins on a sliver around the
+    crossing, so the LP prices it and it stays."""
+    w1, w2 = np.array([0.0, 1.0]), np.array([0.7, 0.0])
+    middle = (w1 + w2) / 2
+    vectors = np.array([w1, w2, middle - 1e-12, middle + 1e-6])
+    priced = []
+    batch_margins = solver._batch_margins
+
+    def recording(cands, refs):
+        priced.extend(np.atleast_2d(cands))
+        return batch_margins(cands, refs)
+
+    monkeypatch.setattr(solver, "_batch_margins", recording)
+    kept = prune(vectors)[1]
+    assert not any(np.array_equal(row, vectors[2]) for row in priced)
+    assert any(np.array_equal(row, vectors[3]) for row in priced)
+    assert kept.tolist() == [0, 1, 3]
+
+
+def test_chord_screen_stays_within_the_batch_budget():
+    """The screen's (candidates, references) temporaries are blocked to
+    _LP_BATCH_BYTES; 20 000 candidates against 300 references would take
+    48 MB per float array unblocked."""
+    rng = np.random.default_rng(39)
+    cands = rng.uniform(-1.0, 1.0, (20_000, 3))
+    refs = rng.uniform(-1.0, 1.0, (300, 3))
+    tracemalloc.start()
+    try:
+        _chord_covered(cands, refs, PRUNE_EPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # plus a few per-candidate arrays: indices, bounds and masks
+    assert peak <= solver._LP_BATCH_BYTES + 40 * cands.shape[0]
+
+
+def test_sup_residual_floor_changes_nothing():
+    """A floor below the sup only spares LPs: on ex1 at horizons 1-11, with
+    the change on the solver's history grid as the floor, and on random
+    pairs of sets, with a grid change as the floor, the sup is the one
+    found with no floor."""
+    m = gen_example("ex1")
+    grid = belief_grid(3, 100)
+    old = np.zeros((1, 3))
+    pairs = []
+    for _ in range(11):
+        new = solver._backup_arrays(m, old)[0]
+        pairs.append((new, old, grid))
+        old = new
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        x = int(rng.integers(2, 5))
+        pairs.append((rng.uniform(-1.0, 1.0, (int(rng.integers(1, 30)), x)),
+                      rng.uniform(-1.0, 1.0, (int(rng.integers(1, 30)), x)),
+                      belief_grid(x, 6)))
+    for new, old, points in pairs:
+        floor = float(np.abs(_best_rows(points, new)[1]
+                             - _best_rows(points, old)[1]).max())
+        assert floor <= _sup_residual(new, old, 0.0) + 1e-9
+        assert abs(_sup_residual(new, old, floor)
+                   - _sup_residual(new, old, 0.0)) <= 1e-12
 
 
 def test_prune_forces_a_survivor_when_no_round_progresses(monkeypatch):
@@ -543,6 +649,14 @@ def test_non_finite_residual_is_rejected(solve):
     backup."""
     with pytest.raises(ValueError, match="positive and finite"):
         solve(gen_example("ex1"), residual=float("inf"), resolution=5)
+
+
+@pytest.mark.parametrize("horizon", [True, float("inf"), 2.5])
+@pytest.mark.parametrize("solve", [solve_grid, solve_exact])
+def test_horizon_must_be_a_nonnegative_integer(solve, horizon):
+    """True used to run one backup, and inf to raise OverflowError."""
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        solve(gen_example("ex1"), horizon=horizon, resolution=5)
 
 
 def test_grid_refinement_stays_within_residual_budget():
