@@ -28,7 +28,7 @@ import sys
 
 from .examples import gen_example, list_examples
 from .model import (ModelFormatError, _row_violations, belief_grid,
-                    load_model, model_to_json, validate_model)
+                    load_model, model_to_json, save_model, validate_model)
 from .solver import (CapacityError, _lowest_argmax, _mode_or_error, _q_batch,
                      gamma_monotone_report, vf_to_dict)
 from .structural import (_SOLVERS, DEFAULT_RESIDUAL, DEFAULT_RESOLUTION,
@@ -39,7 +39,7 @@ from .structural import (_SOLVERS, DEFAULT_RESIDUAL, DEFAULT_RESOLUTION,
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -142,12 +142,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     model = gen_example(args.name, **dict(_parse_param(t) for t in args.param))
-    text = model_to_json(model)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        save_model(model, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(model_to_json(model))
     return 0
 
 
@@ -200,47 +198,71 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pomdpcheck",
-        description="Stochastic-order checkers and POMDP solvers for "
-                    "verifying monotone-policy structure.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a model file")
+def _model_and_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("model")
     p.add_argument("--out", metavar="FILE")
 
-    p = sub.add_parser("check", help="hypothesis report for one model")
-    p.add_argument("model")
-    p.add_argument("--out", metavar="FILE")
 
-    p = sub.add_parser("solve", help="solve and emit value function/policy")
+def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("model")
     _add_solver_flags(p)
     p.add_argument("--csv", metavar="FILE",
                    help="write the belief-grid policy table here")
 
-    p = sub.add_parser("verify", help="verify structural predictions")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("model")
     _add_solver_flags(p)
 
-    p = sub.add_parser("compare", help="compare strong vs weak sensing model")
+
+def _compare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("strong")
     p.add_argument("weak")
     _add_solver_flags(p)
 
-    p = sub.add_parser("gen", help="emit a bundled example model")
+
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=list_examples())
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=VALUE", help="generator parameter")
     p.add_argument("--out", metavar="FILE", help="write the model JSON here")
+
+
+# Subcommand -> (help line, argument builder), in the order help lists them.
+_SUBCOMMANDS = {
+    "validate": ("validate a model file", _model_and_out),
+    "check": ("hypothesis report for one model", _model_and_out),
+    "solve": ("solve and emit value function/policy", _solve_args),
+    "verify": ("verify structural predictions", _verify_args),
+    "compare": ("compare strong vs weak sensing model", _compare_args),
+    "gen": ("emit a bundled example model", _gen_args),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with ``only``, a parser that knows just that
+    subcommand.  Its usage line still lists all six, so every message a
+    command line naming ``only`` first can produce is unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="pomdpcheck",
+        description="Stochastic-order checkers and POMDP solvers for "
+                    "verifying monotone-policy structure.")
+    # Without a metavar argparse derives the same usage text from the
+    # choices, and names the argument "command" in its errors.
+    metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in (_SUBCOMMANDS if only is None else (only,)):
+        help_line, add_arguments = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Help, a missing or an unknown command needs the full parser.
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         if hasattr(args, "grid"):
             _check_solver_args(args)

@@ -1,5 +1,7 @@
 """Dense phase-1 simplex kernel for the small feasibility problems in this
-package: Blackwell and reverse factorizations and the general reward shift.
+package: the general reward shift, and the Blackwell and reverse
+factorizations whose factor is not unique (a square, invertible sensor
+matrix fixes the factor, and ``orders`` decides those in closed form).
 
 It solves one form, find x >= 0 with A x = b; a caller with inequality rows
 or free variables writes its own surplus and split columns.  Everything is

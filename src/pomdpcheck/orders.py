@@ -5,7 +5,10 @@ total positivity of order two, copositive dominance of transition matrices,
 row-wise first-order dominance and single-crossing (Lehmann) precision of
 observation matrices, the boundary-column consistency check, and the two
 stochastic-factorization tests (a garbling factor on the right, a mixing
-factor on the left).
+factor on the left).  A factorization test whose sensor matrix is square,
+invertible and well conditioned has one candidate factor and is decided in
+closed form (``_unique_factor``); only a factor that is not unique, or
+sits too close to the sign boundary, goes to the LP.
 
 Every predicate returns the JSON-ready dict ``pomdpcheck check`` prints:
 ``{"holds": True}``, or ``{"holds": False, "witness": {...}}`` with the
@@ -19,6 +22,7 @@ non-finite input entry raises ValueError.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +34,22 @@ from .model import belief_grid  # noqa: F401
 PAIR_TOL = 1e-12
 COPOSITIVE_MARGIN = 1e-9
 FACTOR_RESIDUAL_TOL = lp.FEAS_TOL
+# A unique factor is decided in closed form up to this condition number of
+# the inverted matrix; the reach margin is doubled (see _unique_factor).
+_MAX_FACTOR_COND = 1e6
+_REACH_SAFETY = 2.0
+_EPS = 2.0 ** -52  # float64 machine epsilon
+
+
+@lru_cache(maxsize=64)
+def _subsets(n: int, size: int) -> np.ndarray:
+    """Every ``size``-element subset of range(n), one per row of a read-only
+    array, in ``combinations`` order (for size 2, ``np.triu_indices``
+    order)."""
+    out = np.array(list(combinations(range(n), size)), dtype=np.intp)
+    out = out.reshape(-1, size)
+    out.setflags(write=False)
+    return out
 
 
 def _vec(value, name="vector") -> np.ndarray:
@@ -96,15 +116,12 @@ def is_tp2(matrix) -> dict:
     m = _mat(matrix, "matrix")
     if m.min() < -PAIR_TOL:
         raise ValueError(f"matrix has negative entry {m.min()}")
-    n, cols = m.shape
-    t1 = np.einsum("ij,kl->ikjl", m, m)
-    t2 = np.einsum("il,kj->ikjl", m, m)
-    minors = t1 - t2
-    ii, kk = np.triu_indices(n, k=1)
-    jj, ll = np.triu_indices(cols, k=1)
+    ii, kk = _subsets(m.shape[0], 2).T
+    jj, ll = _subsets(m.shape[1], 2).T
     if ii.size == 0 or jj.size == 0:
         return {"holds": True}
-    sub = minors[ii[:, None], kk[:, None], jj[None, :], ll[None, :]]
+    top, bottom = m[ii], m[kk]
+    sub = top[:, jj] * bottom[:, ll] - top[:, ll] * bottom[:, jj]
     flat = int(np.argmin(sub))
     r, c = np.unravel_index(flat, sub.shape)
     worst = sub[r, c]
@@ -137,32 +154,29 @@ def _face_stationary_candidates(a: np.ndarray):
 
     Solving [[2A_F, 1], [1', 0]] [pi; lam] = [0; 1] on each support set F gives
     every candidate minimizer in the relative interior of F; infeasible or
-    singular faces are skipped.  Every vertex is a one-point face whose
-    system is never singular, so at least n points are yielded."""
+    singular faces are skipped.  The faces of one size are solved in one
+    batched call, and points come out in ``combinations`` order, smallest
+    faces first.  Every vertex is a one-point face whose system is never
+    singular, so at least n points are yielded."""
     n = a.shape[0]
     for size in range(1, n + 1):
-        for face in combinations(range(n), size):
-            idx = np.array(face)
-            sub = a[np.ix_(idx, idx)]
-            system = np.zeros((size + 1, size + 1))
-            system[:size, :size] = 2.0 * sub
-            system[:size, size] = 1.0
-            system[size, :size] = 1.0
-            rhs = np.zeros(size + 1)
-            rhs[size] = 1.0
-            try:
-                sol = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            point_face = sol[:size]
-            if point_face.min() < -1e-12:
-                continue
-            point = np.zeros(n)
-            point[idx] = np.clip(point_face, 0.0, None)
-            total = point.sum()
-            if total <= 0:
-                continue
-            yield point / total
+        faces = _subsets(n, size)
+        systems = np.zeros((len(faces), size + 1, size + 1))
+        systems[:, :size, :size] = 2.0 * a[faces[:, :, None], faces[:, None, :]]
+        systems[:, :size, size] = 1.0
+        systems[:, size, :size] = 1.0
+        regular = np.linalg.det(systems) != 0.0
+        faces, systems = faces[regular], systems[regular]
+        rhs = np.zeros((len(faces), size + 1, 1))
+        rhs[:, size] = 1.0
+        weights = np.linalg.solve(systems, rhs)[:, :size, 0]
+        feasible = ~(weights.min(axis=1) < -1e-12)
+        faces, weights = faces[feasible], weights[feasible]
+        points = np.zeros((len(faces), n))
+        points[np.arange(len(faces))[:, None], faces] = np.maximum(weights, 0.0)
+        totals = points.sum(axis=1)
+        live = ~(totals <= 0)
+        yield from points[live] / totals[live, None]
 
 
 def is_copositive(matrix) -> dict:
@@ -293,9 +307,73 @@ def check_a7(b1, b2) -> dict:
     return {"holds": True}
 
 
+def _infeasible_verdict() -> dict:
+    return {"holds": False, "witness": {
+        "kind": "factorization_infeasible",
+        "detail": f"no row-stochastic factor within residual {FACTOR_RESIDUAL_TOL}"}}
+
+
+def _defects(factor: np.ndarray, residual_of) -> tuple[float, float]:
+    """A candidate factor's unscaled product residual and row-sum defect."""
+    return (float(residual_of(factor)),
+            float(np.abs(factor.sum(axis=1) - 1.0).max()))
+
+
+def _unique_factor(pivot: np.ndarray, axis: int, factor_of,
+                   residual_of) -> dict | None:
+    """Closed-form verdict of a factorization test whose factor is unique,
+    or None when only the LP can decide.
+
+    ``pivot`` is the observation matrix the product equation multiplies the
+    factor by.  When it is square with a finite inverse and a condition
+    number (in the norm of ``axis``) of at most _MAX_FACTOR_COND, the
+    equation has exactly one solution F = ``factor_of(inverse)``.  F's rows
+    sum to 1 up to rounding because pivot @ 1 = 1 (and the other matrix's
+    rows sum to 1 too), so only its sign is open:
+
+    - min F >= -_BOUND_SLACK with residual and row defect within
+      FACTOR_RESIDUAL_TOL: F itself is a checked certificate, so the test
+      holds however F was computed.
+    - min F < -reach: no factor the LP path could accept exists.  Such a
+      factor G has G >= -_BOUND_SLACK and a product residual R of at most
+      FACTOR_RESIDUAL_TOL (at most max|pivot| times it in the LP's scaled
+      phase 1), and G - F is R pushed through the inverse, so no entry of
+      G - F exceeds the inverse's max row sum (``axis`` 1: the factor sits
+      right of the pivot) or max column sum (``axis`` 0: left of it) times
+      that residual.  Reach is that distance plus the bound slack and the
+      rounding of F itself, doubled.  The verdict is the LP path's
+      ``factorization_infeasible``.
+    - Anything in between goes to the LP, as do singular, ill-conditioned
+      and non-square pivots.
+    """
+    size = pivot.shape[0]
+    if pivot.shape[1] != size:
+        return None
+    try:
+        inverse = np.linalg.inv(pivot)
+    except np.linalg.LinAlgError:
+        return None
+    inverse_norm = float(np.abs(inverse).sum(axis=axis).max())
+    cond = float(np.abs(pivot).sum(axis=axis).max()) * inverse_norm
+    if not cond <= _MAX_FACTOR_COND:  # also refuses a non-finite inverse
+        return None
+    factor = factor_of(inverse)
+    low = float(factor.min())
+    if low >= -lp._BOUND_SLACK:
+        if max(_defects(factor, residual_of)) > FACTOR_RESIDUAL_TOL:
+            return None
+        return {"holds": True, "factor": factor.tolist()}
+    residual_reach = max(float(np.abs(pivot).max()), 1.0) * FACTOR_RESIDUAL_TOL
+    rounding = size * cond * _EPS * float(np.abs(factor).max())
+    reach = _REACH_SAFETY * (inverse_norm * residual_reach + lp._BOUND_SLACK
+                             + rounding)
+    return _infeasible_verdict() if low < -reach else None
+
+
 def _solve_factor(product_rows: np.ndarray, product_rhs: np.ndarray,
                   shape: tuple[int, int], residual_of) -> dict:
-    """Feasibility core shared by the two factorization tests.
+    """LP feasibility core shared by the two factorization tests, for the
+    factors ``_unique_factor`` leaves open.
 
     Finds a row-stochastic matrix of the given shape (flattened row-major in
     the LP) whose product constraints are ``product_rows @ vec = product_rhs``;
@@ -307,14 +385,11 @@ def _solve_factor(product_rows: np.ndarray, product_rhs: np.ndarray,
         a_eq=np.vstack([product_rows, sum_rows]),
         b_eq=np.concatenate([product_rhs, np.ones(rows_f)]))
     if outcome.status == lp.INFEASIBLE:
-        return {"holds": False, "witness": {
-            "kind": "factorization_infeasible",
-            "detail": f"no row-stochastic factor within residual {FACTOR_RESIDUAL_TOL}"}}
+        return _infeasible_verdict()
     if outcome.status != lp.FEASIBLE:
         return {"holds": None, "witness": {"kind": "lp_numerical_failure"}}
     factor = outcome.x.reshape(rows_f, cols_f)
-    residual = float(residual_of(factor))
-    row_defect = float(np.abs(factor.sum(axis=1) - 1.0).max())
+    residual, row_defect = _defects(factor, residual_of)
     if residual > FACTOR_RESIDUAL_TOL or row_defect > FACTOR_RESIDUAL_TOL:
         return {"holds": None, "witness": {
             "kind": "lp_numerical_failure", "residual": residual,
@@ -326,12 +401,22 @@ def blackwell_dominates(b_high, b_low) -> dict:
     """Is b_low a garbling of b_high?  Holds iff a row-stochastic L exists
     with b_high @ L = b_low (within the residual tolerance).
 
-    Constraint rows are scaled by the max-norm of b_high before solving; the
-    residual post-check runs on the unscaled system.
+    A square, invertible, reasonably conditioned b_high leaves one candidate,
+    L = inv(b_high) @ b_low, and its sign decides the test in closed form
+    (``_unique_factor``); otherwise an LP searches for L (``_blackwell_lp``).
     """
     hi, lo = _mat(b_high, "b_high"), _mat(b_low, "b_low")
     if hi.shape[0] != lo.shape[0]:
         raise ValueError("matrices must have the same number of rows")
+    verdict = _unique_factor(hi, 1, lambda inverse: inverse @ lo,
+                             lambda f: np.abs(hi @ f - lo).max())
+    return verdict if verdict is not None else _blackwell_lp(hi, lo)
+
+
+def _blackwell_lp(hi: np.ndarray, lo: np.ndarray) -> dict:
+    """The LP form of ``blackwell_dominates``.  Constraint rows are scaled
+    by the max-norm of b_high before solving; the residual post-check runs
+    on the unscaled system."""
     scale = max(float(np.abs(hi).max()), 1e-12)
     return _solve_factor(
         product_rows=np.kron(hi / scale, np.eye(lo.shape[1])),
@@ -342,10 +427,23 @@ def blackwell_dominates(b_high, b_low) -> dict:
 
 def reverse_factorization(b_low, b_high) -> dict:
     """Does a row-stochastic state-mixing factor M exist with
-    M @ b_high = b_low (within the residual tolerance)?"""
+    M @ b_high = b_low (within the residual tolerance)?
+
+    A square, invertible, reasonably conditioned b_high leaves one candidate,
+    M = b_low @ inv(b_high), decided in closed form as in
+    ``blackwell_dominates``; otherwise an LP searches for M
+    (``_reverse_lp``)."""
     lo, hi = _mat(b_low, "b_low"), _mat(b_high, "b_high")
     if lo.shape != hi.shape:
         raise ValueError("matrices must have equal shape")
+    verdict = _unique_factor(hi, 0, lambda inverse: lo @ inverse,
+                             lambda f: np.abs(f @ hi - lo).max())
+    return verdict if verdict is not None else _reverse_lp(lo, hi)
+
+
+def _reverse_lp(lo: np.ndarray, hi: np.ndarray) -> dict:
+    """The LP form of ``reverse_factorization``, scaled like
+    ``_blackwell_lp``."""
     scale = max(float(np.abs(hi).max()), 1e-12)
     return _solve_factor(
         product_rows=np.kron(np.eye(lo.shape[0]), hi.T / scale),

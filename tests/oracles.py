@@ -217,6 +217,67 @@ def copositive_kaplan_oracle(q: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Reference implementations of the TP2 and copositivity predicates, as they
+# stood before their minors and face solves were batched: the same verdict
+# and witness dicts, built from 4-D einsum minors and one solve per face.
+# ---------------------------------------------------------------------------
+
+def tp2_reference(matrix) -> dict:
+    """``orders.is_tp2`` through the full (i, k, j, l) minor tensor."""
+    m = np.asarray(matrix, dtype=float)
+    n, cols = m.shape
+    minors = (np.einsum("ij,kl->ikjl", m, m)
+              - np.einsum("il,kj->ikjl", m, m))
+    ii, kk = np.triu_indices(n, k=1)
+    jj, ll = np.triu_indices(cols, k=1)
+    if ii.size == 0 or jj.size == 0:
+        return {"holds": True}
+    sub = minors[ii[:, None], kk[:, None], jj[None, :], ll[None, :]]
+    r, c = np.unravel_index(int(np.argmin(sub)), sub.shape)
+    if sub[r, c] >= -1e-12:
+        return {"holds": True}
+    return {"holds": False, "witness": {
+        "kind": "tp2_minor", "rows": [int(ii[r]), int(kk[r])],
+        "cols": [int(jj[c]), int(ll[c])], "minor": float(sub[r, c])}}
+
+
+def copositive_reference(matrix) -> dict:
+    """``orders.is_copositive`` with one KKT solve per simplex face, faces
+    in ``combinations`` order, smallest first."""
+    a = np.asarray(matrix, dtype=float)
+    a = 0.5 * (a + a.T)
+    n = a.shape[0]
+    best_val, best_pt = np.inf, None
+    for size in range(1, n + 1):
+        for face in combinations(range(n), size):
+            idx = np.array(face)
+            system = np.zeros((size + 1, size + 1))
+            system[:size, :size] = 2.0 * a[np.ix_(idx, idx)]
+            system[:size, size] = 1.0
+            system[size, :size] = 1.0
+            rhs = np.zeros(size + 1)
+            rhs[size] = 1.0
+            try:
+                sol = np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if sol[:size].min() < -1e-12:
+                continue
+            point = np.zeros(n)
+            point[idx] = np.clip(sol[:size], 0.0, None)
+            if point.sum() <= 0:
+                continue
+            point /= point.sum()
+            value = float(point @ a @ point)
+            if value < best_val:
+                best_val, best_pt = value, point
+    if best_val >= -1e-9:
+        return {"holds": True}
+    return {"holds": False, "witness": {
+        "kind": "copositivity", "point": best_pt.tolist(), "value": best_val}}
+
+
+# ---------------------------------------------------------------------------
 # Random instance builders (seeded numpy, shared by property suites)
 # ---------------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ import pomdpcheck
 from pomdpcheck import (PomdpModel, assumption_report, gamma_matrices,
                         gen_example, list_examples, loads_model, model_to_json,
                         save_model)
-from pomdpcheck.cli import _emit, main
+from pomdpcheck.cli import _emit, build_parser, main
 
 from oracles import copositive_kaplan_oracle
 
@@ -360,6 +360,41 @@ def test_compare_dimension_mismatch_exits_two(tmp_path, ex1_path):
 
 
 # ---------------------------------------------------------------------------
+# Parser text: main builds one subcommand's parser when argv names it first
+# ---------------------------------------------------------------------------
+
+_COMMAND_LINES = [
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "x.json"],
+    ["solve", "m.json", "--method", "bogus"],
+    ["verify", "m.json", "--grid", "x"],
+    ["compare", "a.json", "b.json", "--horizon", "3", "--residual", "1e-8"],
+] + [line for name, positionals in (
+        ("validate", ["m.json"]), ("check", ["m.json"]), ("solve", ["m.json"]),
+        ("verify", ["m.json"]), ("compare", ["a.json", "b.json"]),
+        ("gen", ["ex1"]))
+     for line in ([name, "-h"], [name], [name, *positionals, "--bogus"])]
+
+
+def _parse_outcome(capsys, parse):
+    try:
+        parse()
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _COMMAND_LINES, ids=" ".join)
+def test_parser_text_matches_the_full_parser(capsys, argv):
+    """Help, usage and error text, and the exit code, are those of the
+    parser that knows every subcommand."""
+    expected = _parse_outcome(capsys, lambda: build_parser().parse_args(argv))
+    assert expected[0] in (0, 2)
+    assert _parse_outcome(capsys, lambda: main(argv)) == expected
+
+
+# ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
@@ -394,11 +429,13 @@ def test_gen_unknown_name_rejected_by_parser():
         main(["gen", "no_such_example"])
 
 
-def test_gen_stdout(capsys):
+def test_gen_stdout(capsys, tmp_path):
     code = main(["gen", "ex1"])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["observation"][0][0] == [0.8, 0.2, 0.0]
+    text = capsys.readouterr().out
+    assert json.loads(text)["observation"][0][0] == [0.8, 0.2, 0.0]
+    assert main(["gen", "ex1", "--out", str(tmp_path / "ex1.json")]) == 0
+    assert (tmp_path / "ex1.json").read_bytes() == text.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pomdpcheck import lp, orders
 from pomdpcheck import (blackwell_dominates, check_a5, check_a7,
                         copositive_dominates, fosd_dominates, gamma_matrices,
                         gen_example, is_copositive, is_tp2, lehmann_precision,
@@ -13,7 +14,8 @@ from pomdpcheck import (blackwell_dominates, check_a5, check_a7,
 
 from oracles import (copositive2_closed_form, copositive3_closed_form,
                      copositive_grid_oracle, copositive_kaplan_oracle,
-                     fosd_oracle, mlr_oracle, random_stochastic, tp2_oracle)
+                     copositive_reference, fosd_oracle, mlr_oracle,
+                     random_stochastic, tp2_oracle, tp2_reference)
 
 
 def positive_vectors(n):
@@ -315,6 +317,130 @@ def test_reversed_factor_fixture_has_reverse_but_not_forward():
     reverse = reverse_factorization(m.observation[0], m.observation[1])
     assert forward["holds"] is False
     assert reverse["holds"] is True
+
+
+def _lp_counter(monkeypatch):
+    calls = []
+    real = lp.lp_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(lp, "lp_solve", counted)
+    return calls
+
+
+def _square_pairs(seed, count):
+    """Seeded (b_high, b_low) pairs with 2-4 states: structural zeros in a
+    third of them, and b_low a constructed garbling of b_high (for
+    Blackwell), a constructed state mixing (for reverse), or independent."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 5))
+        zeros = 0.3 if k % 3 == 0 else 0.0
+        hi = random_stochastic(rng, n, n, zero_prob=zeros)
+        mix = random_stochastic(rng, n, n, zero_prob=zeros)
+        kind = k % 4
+        lo = (hi @ mix if kind == 0 else mix @ hi if kind == 1
+              else random_stochastic(rng, n, n, zero_prob=zeros))
+        yield hi, lo
+
+
+def test_unique_factor_matches_the_lp():
+    """The closed-form verdict equals the LP-only verdict on 1500 seeded
+    square pairs, for both factorization tests.  A factor both find agrees
+    within 1e-12, or within the distance the LP factor's own product
+    residual R explains: F_lp - F is R pushed through the inverse."""
+    held = {"blackwell": 0, "reverse": 0}
+    for hi, lo in _square_pairs(27, 1500):
+        for name, fast, slow, residual, axis in (
+                ("blackwell", blackwell_dominates(hi, lo),
+                 orders._blackwell_lp(hi, lo), lambda f: hi @ f - lo, 1),
+                ("reverse", reverse_factorization(lo, hi),
+                 orders._reverse_lp(lo, hi), lambda f: f @ hi - lo, 0)):
+            assert fast["holds"] is slow["holds"], (name, hi, lo, fast, slow)
+            if fast["holds"] is not True:
+                assert fast == slow
+                continue
+            held[name] += 1
+            lp_factor = np.asarray(slow["factor"])
+            gap = np.abs(np.asarray(fast["factor"]) - lp_factor).max()
+            if gap > 1e-12:
+                reach = np.abs(np.linalg.inv(hi)).sum(axis=axis).max()
+                assert gap <= reach * np.abs(residual(lp_factor)).max(), (
+                    name, hi, lo, gap)
+    assert min(held.values()) >= 300, held
+
+
+def _pair_with_factor_entry(entry):
+    """An invertible b_high and b_low = b_high @ F, where F is row-stochastic
+    apart from F[0, 1] = entry (its row still sums to 1)."""
+    hi = np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]])
+    factor = np.array([[0.6 - entry, entry, 0.4], [0.1, 0.8, 0.1],
+                       [0.2, 0.3, 0.5]])
+    return hi, hi @ factor
+
+
+def _blackwell_reach(hi):
+    inverse_norm = np.abs(np.linalg.inv(hi)).sum(axis=1).max()
+    return orders._REACH_SAFETY * (inverse_norm * orders.FACTOR_RESIDUAL_TOL
+                                   + lp._BOUND_SLACK)
+
+
+def test_unique_factor_band_goes_to_the_lp(monkeypatch):
+    """A slightly negative factor entry within the bound slack is a checked
+    certificate; one past the slack but within reach of a factor the LP
+    could still accept is left to the LP; one beyond reach is infeasible
+    without an LP."""
+    calls = _lp_counter(monkeypatch)
+    hi, lo = _pair_with_factor_entry(-1e-10)
+    verdict = blackwell_dominates(hi, lo)
+    assert verdict["holds"] is True and calls == []
+    assert min(min(row) for row in verdict["factor"]) < 0.0
+    assert orders._blackwell_lp(hi, lo)["holds"] is True
+
+    reach = _blackwell_reach(hi)
+    for entry in (-lp._BOUND_SLACK - 1e-10, -0.9 * reach):
+        hi, lo = _pair_with_factor_entry(entry)
+        calls.clear()
+        verdict = blackwell_dominates(hi, lo)
+        assert len(calls) == 1, entry
+        assert verdict == orders._blackwell_lp(hi, lo)
+
+    hi, lo = _pair_with_factor_entry(-1.1 * reach)
+    calls.clear()
+    verdict = blackwell_dominates(hi, lo)
+    assert calls == []
+    assert verdict == orders._blackwell_lp(hi, lo)
+    assert verdict["witness"]["kind"] == "factorization_infeasible"
+
+
+def test_singular_and_non_square_sensors_go_to_the_lp(monkeypatch):
+    calls = _lp_counter(monkeypatch)
+    singular = np.array([[0.5, 0.5], [0.5, 0.5]])
+    assert blackwell_dominates(singular, singular)["holds"] is True
+    assert reverse_factorization(singular, singular)["holds"] is True
+    assert len(calls) == 2
+    wide = np.array([[0.5, 0.3, 0.2], [0.1, 0.3, 0.6]])
+    assert blackwell_dominates(wide, wide)["holds"] is True
+    assert reverse_factorization(wide, wide)["holds"] is True
+    assert len(calls) == 4
+
+
+def test_tp2_and_copositivity_witnesses_match_the_references():
+    """The batched minors and face solves give the same verdict and witness
+    dicts as one-at-a-time references, on criterion 10's distributions."""
+    rng = np.random.default_rng(1010)
+    for k in range(3000):
+        rows, cols = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        mat = random_stochastic(rng, rows, cols,
+                                zero_prob=0.3 if k % 3 == 0 else 0.0)
+        assert is_tp2(mat) == tp2_reference(mat), mat
+    for k in range(3000):
+        n = int(rng.integers(2, 5))
+        q = rng.uniform(-1.0, 1.0, (n, n))
+        q = (q + q.T) / 2.0
+        assert is_copositive(q) == copositive_reference(q), q
 
 
 # ---------------------------------------------------------------------------
