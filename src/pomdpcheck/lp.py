@@ -74,10 +74,13 @@ def lp_solve(a_eq, b_eq) -> LpOutcome:
     """Find x with  a_eq x = b_eq,  x >= 0.
 
     Rows with a negative right-hand side are negated, and every row gets an
-    artificial column whose sum phase 1 minimizes.  Infeasibility is
-    certified by a phase-1 optimum above ``FEAS_TOL`` and never conflated
-    with numerical failure, which is reported when the loop stalls or the
-    point misses a row or the bound.
+    artificial column whose sum phase 1 minimizes.  The phase-1 point is
+    checked against the original rows first, and one within ``FEAS_TOL`` of
+    every row and ``_BOUND_SLACK`` of the bound is feasible whatever the
+    optimum: the optimum sums all m artificials, so it can exceed the
+    per-row ``FEAS_TOL`` while every row is met.  Otherwise an optimum above
+    ``FEAS_TOL`` is infeasible; a lower one, or a stalled loop, is a
+    numerical failure.
     """
     a_eq = np.asarray(a_eq, dtype=float)
     if a_eq.ndim != 2:
@@ -95,16 +98,15 @@ def lp_solve(a_eq, b_eq) -> LpOutcome:
     basis = np.arange(n, n + m)
     if not _phase1(tableau, basis, n, 1000 + 40 * (m + n)):
         return LpOutcome(status=NUMERICAL_FAILURE)
-    if -tableau[-1, -1] > FEAS_TOL:
-        return LpOutcome(status=INFEASIBLE)
 
     # Artificials left in the basis sit at or below the phase-1 optimum and
     # are simply not read back.
     x = np.zeros(n + m)
     x[basis] = tableau[:m, -1]
     x = x[:n]
-    ok = (np.isfinite(x).all()
-          and (np.abs(a_eq @ x - b_eq) <= FEAS_TOL).all()
-          and (x >= -_BOUND_SLACK).all())
-    return LpOutcome(status=FEASIBLE if ok else NUMERICAL_FAILURE,
-                     x=x if ok else None)
+    if (np.isfinite(x).all()
+            and (np.abs(a_eq @ x - b_eq) <= FEAS_TOL).all()
+            and (x >= -_BOUND_SLACK).all()):
+        return LpOutcome(status=FEASIBLE, x=x)
+    return LpOutcome(status=INFEASIBLE if -tableau[-1, -1] > FEAS_TOL
+                     else NUMERICAL_FAILURE)

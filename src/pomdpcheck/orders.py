@@ -5,10 +5,11 @@ total positivity of order two, copositive dominance of transition matrices,
 row-wise first-order dominance and single-crossing (Lehmann) precision of
 observation matrices, the boundary-column consistency check, and the two
 stochastic-factorization tests (a garbling factor on the right, a mixing
-factor on the left).  A factorization test whose sensor matrix is square,
-invertible and well conditioned has one candidate factor and is decided in
-closed form (``_unique_factor``); only a factor that is not unique, or
-sits too close to the sign boundary, goes to the LP.
+factor on the left), which share one kernel, ``_factorization``.  A
+factorization test whose sensor matrix is square, invertible and well
+conditioned has one candidate factor and is decided in closed form; only a
+factor that is not unique, or sits too close to the sign boundary, goes to
+the LP (``_factor_lp``).
 
 Every predicate returns the JSON-ready dict ``pomdpcheck check`` prints:
 ``{"holds": True}``, or ``{"holds": False, "witness": {...}}`` with the
@@ -35,7 +36,7 @@ PAIR_TOL = 1e-12
 COPOSITIVE_MARGIN = 1e-9
 FACTOR_RESIDUAL_TOL = lp.FEAS_TOL
 # A unique factor is decided in closed form up to this condition number of
-# the inverted matrix; the reach margin is doubled (see _unique_factor).
+# the inverted matrix; the reach margin is doubled (see _factorization).
 _MAX_FACTOR_COND = 1e6
 _REACH_SAFETY = 2.0
 _EPS = 2.0 ** -52  # float64 machine epsilon
@@ -313,83 +314,86 @@ def _infeasible_verdict() -> dict:
         "detail": f"no row-stochastic factor within residual {FACTOR_RESIDUAL_TOL}"}}
 
 
-def _defects(factor: np.ndarray, residual_of) -> tuple[float, float]:
+def _defects(sensor: np.ndarray, target: np.ndarray, factor: np.ndarray,
+             left: bool) -> tuple[float, float]:
     """A candidate factor's unscaled product residual and row-sum defect."""
-    return (float(residual_of(factor)),
+    product = factor @ sensor if left else sensor @ factor
+    return (float(np.abs(product - target).max()),
             float(np.abs(factor.sum(axis=1) - 1.0).max()))
 
 
-def _unique_factor(pivot: np.ndarray, axis: int, factor_of,
-                   residual_of) -> dict | None:
-    """Closed-form verdict of a factorization test whose factor is unique,
-    or None when only the LP can decide.
+def _factorization(sensor: np.ndarray, target: np.ndarray, left: bool) -> dict:
+    """Is there a row-stochastic F with sensor @ F = target (F @ sensor =
+    target when ``left``), within FACTOR_RESIDUAL_TOL?
 
-    ``pivot`` is the observation matrix the product equation multiplies the
-    factor by.  When it is square with a finite inverse and a condition
-    number (in the norm of ``axis``) of at most _MAX_FACTOR_COND, the
-    equation has exactly one solution F = ``factor_of(inverse)``.  F's rows
-    sum to 1 up to rounding because pivot @ 1 = 1 (and the other matrix's
-    rows sum to 1 too), so only its sign is open:
+    When ``sensor`` is square with a finite inverse and a condition number
+    of at most _MAX_FACTOR_COND (in the 1-norm when ``left``, else the
+    ∞-norm), the equation has exactly one solution, F = target @ inverse
+    (``left``) or inverse @ target.  F's rows sum to 1 up to rounding
+    because sensor @ 1 = 1 (and target's rows sum to 1 too), so only its
+    sign is open:
 
     - min F >= -_BOUND_SLACK with residual and row defect within
       FACTOR_RESIDUAL_TOL: F itself is a checked certificate, so the test
       holds however F was computed.
     - min F < -reach: no factor the LP path could accept exists.  Such a
       factor G has G >= -_BOUND_SLACK and a product residual R of at most
-      FACTOR_RESIDUAL_TOL (at most max|pivot| times it in the LP's scaled
+      FACTOR_RESIDUAL_TOL (at most max|sensor| times it in the LP's scaled
       phase 1), and G - F is R pushed through the inverse, so no entry of
-      G - F exceeds the inverse's max row sum (``axis`` 1: the factor sits
-      right of the pivot) or max column sum (``axis`` 0: left of it) times
-      that residual.  Reach is that distance plus the bound slack and the
+      G - F exceeds the inverse's max column sum (``left``: the factor
+      sits left of the sensor) or max row sum (right of it) times that
+      residual.  Reach is that distance plus the bound slack and the
       rounding of F itself, doubled.  The verdict is the LP path's
       ``factorization_infeasible``.
-    - Anything in between goes to the LP, as do singular, ill-conditioned
-      and non-square pivots.
+    - Anything in between goes to the LP (``_factor_lp``), as do singular,
+      ill-conditioned and non-square sensors.
     """
-    size = pivot.shape[0]
-    if pivot.shape[1] != size:
-        return None
     try:
-        inverse = np.linalg.inv(pivot)
+        inverse = np.linalg.inv(sensor)  # also raises on a non-square sensor
     except np.linalg.LinAlgError:
-        return None
+        return _factor_lp(sensor, target, left)
+    axis = 0 if left else 1
     inverse_norm = float(np.abs(inverse).sum(axis=axis).max())
-    cond = float(np.abs(pivot).sum(axis=axis).max()) * inverse_norm
+    cond = float(np.abs(sensor).sum(axis=axis).max()) * inverse_norm
     if not cond <= _MAX_FACTOR_COND:  # also refuses a non-finite inverse
-        return None
-    factor = factor_of(inverse)
+        return _factor_lp(sensor, target, left)
+    factor = target @ inverse if left else inverse @ target
     low = float(factor.min())
-    if low >= -lp._BOUND_SLACK:
-        if max(_defects(factor, residual_of)) > FACTOR_RESIDUAL_TOL:
-            return None
+    if (low >= -lp._BOUND_SLACK
+            and max(_defects(sensor, target, factor, left)) <= FACTOR_RESIDUAL_TOL):
         return {"holds": True, "factor": factor.tolist()}
-    residual_reach = max(float(np.abs(pivot).max()), 1.0) * FACTOR_RESIDUAL_TOL
-    rounding = size * cond * _EPS * float(np.abs(factor).max())
+    # As reach > _BOUND_SLACK, an F refused above for its residual goes to the LP.
+    residual_reach = max(float(np.abs(sensor).max()), 1.0) * FACTOR_RESIDUAL_TOL
+    rounding = sensor.shape[0] * cond * _EPS * float(np.abs(factor).max())
     reach = _REACH_SAFETY * (inverse_norm * residual_reach + lp._BOUND_SLACK
                              + rounding)
-    return _infeasible_verdict() if low < -reach else None
+    if low < -reach:
+        return _infeasible_verdict()
+    return _factor_lp(sensor, target, left)
 
 
-def _solve_factor(product_rows: np.ndarray, product_rhs: np.ndarray,
-                  shape: tuple[int, int], residual_of) -> dict:
-    """LP feasibility core shared by the two factorization tests, for the
-    factors ``_unique_factor`` leaves open.
-
-    Finds a row-stochastic matrix of the given shape (flattened row-major in
-    the LP) whose product constraints are ``product_rows @ vec = product_rhs``;
-    ``residual_of`` recomputes the unscaled defect for the post-check.
-    """
-    rows_f, cols_f = shape
+def _factor_lp(sensor: np.ndarray, target: np.ndarray, left: bool) -> dict:
+    """The LP form of ``_factorization``: a row-stochastic F, flattened
+    row-major, with product rows kron(I, sensor' / scale) when ``left``, else
+    kron(sensor / scale, I), scaled by the max-norm of ``sensor``.  The
+    residual post-check runs on the unscaled system."""
+    scale = max(float(np.abs(sensor).max()), 1e-12)
+    if left:
+        rows_f, cols_f = target.shape[0], sensor.shape[0]
+        product_rows = np.kron(np.eye(rows_f), sensor.T / scale)
+    else:
+        rows_f, cols_f = sensor.shape[1], target.shape[1]
+        product_rows = np.kron(sensor / scale, np.eye(cols_f))
     sum_rows = np.kron(np.eye(rows_f), np.ones((1, cols_f)))
     outcome = lp.lp_solve(
         a_eq=np.vstack([product_rows, sum_rows]),
-        b_eq=np.concatenate([product_rhs, np.ones(rows_f)]))
+        b_eq=np.concatenate([(target / scale).reshape(-1), np.ones(rows_f)]))
     if outcome.status == lp.INFEASIBLE:
         return _infeasible_verdict()
     if outcome.status != lp.FEASIBLE:
         return {"holds": None, "witness": {"kind": "lp_numerical_failure"}}
     factor = outcome.x.reshape(rows_f, cols_f)
-    residual, row_defect = _defects(factor, residual_of)
+    residual, row_defect = _defects(sensor, target, factor, left)
     if residual > FACTOR_RESIDUAL_TOL or row_defect > FACTOR_RESIDUAL_TOL:
         return {"holds": None, "witness": {
             "kind": "lp_numerical_failure", "residual": residual,
@@ -399,54 +403,19 @@ def _solve_factor(product_rows: np.ndarray, product_rhs: np.ndarray,
 
 def blackwell_dominates(b_high, b_low) -> dict:
     """Is b_low a garbling of b_high?  Holds iff a row-stochastic L exists
-    with b_high @ L = b_low (within the residual tolerance).
-
-    A square, invertible, reasonably conditioned b_high leaves one candidate,
-    L = inv(b_high) @ b_low, and its sign decides the test in closed form
-    (``_unique_factor``); otherwise an LP searches for L (``_blackwell_lp``).
-    """
+    with b_high @ L = b_low (within the residual tolerance); a unique L is
+    decided in closed form, any other by LP (``_factorization``)."""
     hi, lo = _mat(b_high, "b_high"), _mat(b_low, "b_low")
     if hi.shape[0] != lo.shape[0]:
         raise ValueError("matrices must have the same number of rows")
-    verdict = _unique_factor(hi, 1, lambda inverse: inverse @ lo,
-                             lambda f: np.abs(hi @ f - lo).max())
-    return verdict if verdict is not None else _blackwell_lp(hi, lo)
-
-
-def _blackwell_lp(hi: np.ndarray, lo: np.ndarray) -> dict:
-    """The LP form of ``blackwell_dominates``.  Constraint rows are scaled
-    by the max-norm of b_high before solving; the residual post-check runs
-    on the unscaled system."""
-    scale = max(float(np.abs(hi).max()), 1e-12)
-    return _solve_factor(
-        product_rows=np.kron(hi / scale, np.eye(lo.shape[1])),
-        product_rhs=(lo / scale).reshape(-1),
-        shape=(hi.shape[1], lo.shape[1]),
-        residual_of=lambda f: np.abs(hi @ f - lo).max())
+    return _factorization(hi, lo, left=False)
 
 
 def reverse_factorization(b_low, b_high) -> dict:
     """Does a row-stochastic state-mixing factor M exist with
-    M @ b_high = b_low (within the residual tolerance)?
-
-    A square, invertible, reasonably conditioned b_high leaves one candidate,
-    M = b_low @ inv(b_high), decided in closed form as in
-    ``blackwell_dominates``; otherwise an LP searches for M
-    (``_reverse_lp``)."""
+    M @ b_high = b_low (within the residual tolerance)?  Decided like
+    ``blackwell_dominates``, with the factor left of b_high."""
     lo, hi = _mat(b_low, "b_low"), _mat(b_high, "b_high")
     if lo.shape != hi.shape:
         raise ValueError("matrices must have equal shape")
-    verdict = _unique_factor(hi, 0, lambda inverse: lo @ inverse,
-                             lambda f: np.abs(f @ hi - lo).max())
-    return verdict if verdict is not None else _reverse_lp(lo, hi)
-
-
-def _reverse_lp(lo: np.ndarray, hi: np.ndarray) -> dict:
-    """The LP form of ``reverse_factorization``, scaled like
-    ``_blackwell_lp``."""
-    scale = max(float(np.abs(hi).max()), 1e-12)
-    return _solve_factor(
-        product_rows=np.kron(np.eye(lo.shape[0]), hi.T / scale),
-        product_rhs=(lo / scale).reshape(-1),
-        shape=(lo.shape[0], hi.shape[0]),
-        residual_of=lambda f: np.abs(f @ hi - lo).max())
+    return _factorization(hi, lo, left=True)

@@ -566,9 +566,9 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
     the same stop rule on a coarse grid (resolution 20, capped at 20 000
     points), which runs a fixed sweep count and so cannot fail (sound: the
     stopping rule depends only on the distance between consecutive exact
-    iterates, not on the starting point), and stops when both the
-    LP-certified sup-norm change and the change measured on the
-    ``resolution`` grid drop to ``residual`` or below, raising
+    iterates, not on the starting point), and stops when the LP-certified
+    sup-norm change drops to ``residual`` or below (it is at least the
+    change measured on the ``resolution`` grid, which seeds it), raising
     ArithmeticError after EXACT_MAX_ITER backups.  Raises CapacityError
     when a cross-sum would exceed CROSS_SUM_CAP vectors, in which case the
     grid solver is the practical alternative.
@@ -595,8 +595,7 @@ def solve_exact(m: PomdpModel, *, horizon: int | None = None,
         residuals.append(_sup_residual(new_vectors, vectors,
                                        grid_residuals[-1]))
         vectors, grid_values = new_vectors, new_values
-        if residual is not None and \
-                max(residuals[-1], grid_residuals[-1]) <= residual:
+        if residual is not None and residuals[-1] <= residual:
             break
     else:
         if residual is not None:

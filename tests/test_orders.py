@@ -355,9 +355,9 @@ def test_unique_factor_matches_the_lp():
     for hi, lo in _square_pairs(27, 1500):
         for name, fast, slow, residual, axis in (
                 ("blackwell", blackwell_dominates(hi, lo),
-                 orders._blackwell_lp(hi, lo), lambda f: hi @ f - lo, 1),
+                 orders._factor_lp(hi, lo, False), lambda f: hi @ f - lo, 1),
                 ("reverse", reverse_factorization(lo, hi),
-                 orders._reverse_lp(lo, hi), lambda f: f @ hi - lo, 0)):
+                 orders._factor_lp(hi, lo, True), lambda f: f @ hi - lo, 0)):
             assert fast["holds"] is slow["holds"], (name, hi, lo, fast, slow)
             if fast["holds"] is not True:
                 assert fast == slow
@@ -372,47 +372,72 @@ def test_unique_factor_matches_the_lp():
     assert min(held.values()) >= 300, held
 
 
-def _pair_with_factor_entry(entry):
-    """An invertible b_high and b_low = b_high @ F, where F is row-stochastic
-    apart from F[0, 1] = entry (its row still sums to 1)."""
+def _pair_with_factor_entry(entry, left=False):
+    """An invertible b_high and b_low = b_high @ F (F @ b_high when
+    ``left``), where F is row-stochastic apart from F[0, 1] = entry (its row
+    still sums to 1)."""
     hi = np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]])
     factor = np.array([[0.6 - entry, entry, 0.4], [0.1, 0.8, 0.1],
                        [0.2, 0.3, 0.5]])
-    return hi, hi @ factor
+    return hi, factor @ hi if left else hi @ factor
 
 
-def _blackwell_reach(hi):
-    inverse_norm = np.abs(np.linalg.inv(hi)).sum(axis=1).max()
+def _factorization_test(hi, lo, left):
+    return reverse_factorization(lo, hi) if left else blackwell_dominates(hi, lo)
+
+
+def _reach(hi, left):
+    """The closed form's reach for a stochastic ``hi``, without its
+    rounding term: the 1-norm of the inverse for a factor left of ``hi``,
+    the ∞-norm for one right of it."""
+    inverse_norm = np.abs(np.linalg.inv(hi)).sum(axis=0 if left else 1).max()
     return orders._REACH_SAFETY * (inverse_norm * orders.FACTOR_RESIDUAL_TOL
                                    + lp._BOUND_SLACK)
 
 
-def test_unique_factor_band_goes_to_the_lp(monkeypatch):
+@pytest.mark.parametrize("left", [False, True], ids=["blackwell", "reverse"])
+def test_unique_factor_band_goes_to_the_lp(monkeypatch, left):
     """A slightly negative factor entry within the bound slack is a checked
     certificate; one past the slack but within reach of a factor the LP
     could still accept is left to the LP; one beyond reach is infeasible
     without an LP."""
     calls = _lp_counter(monkeypatch)
-    hi, lo = _pair_with_factor_entry(-1e-10)
-    verdict = blackwell_dominates(hi, lo)
+    hi, lo = _pair_with_factor_entry(-1e-10, left)
+    verdict = _factorization_test(hi, lo, left)
     assert verdict["holds"] is True and calls == []
     assert min(min(row) for row in verdict["factor"]) < 0.0
-    assert orders._blackwell_lp(hi, lo)["holds"] is True
+    assert orders._factor_lp(hi, lo, left)["holds"] is True
 
-    reach = _blackwell_reach(hi)
+    reach = _reach(hi, left)
     for entry in (-lp._BOUND_SLACK - 1e-10, -0.9 * reach):
-        hi, lo = _pair_with_factor_entry(entry)
+        hi, lo = _pair_with_factor_entry(entry, left)
         calls.clear()
-        verdict = blackwell_dominates(hi, lo)
+        verdict = _factorization_test(hi, lo, left)
         assert len(calls) == 1, entry
-        assert verdict == orders._blackwell_lp(hi, lo)
+        assert verdict == orders._factor_lp(hi, lo, left)
 
-    hi, lo = _pair_with_factor_entry(-1.1 * reach)
+    hi, lo = _pair_with_factor_entry(-1.1 * reach, left)
     calls.clear()
-    verdict = blackwell_dominates(hi, lo)
+    verdict = _factorization_test(hi, lo, left)
     assert calls == []
-    assert verdict == orders._blackwell_lp(hi, lo)
+    assert verdict == orders._factor_lp(hi, lo, left)
     assert verdict["witness"]["kind"] == "factorization_infeasible"
+
+
+@pytest.mark.parametrize("left", [False, True], ids=["blackwell", "reverse"])
+@pytest.mark.parametrize("entry", [-3e-10, -5e-10])
+def test_factor_lp_accepts_a_checked_point_above_the_phase1_tolerance(
+        left, entry):
+    """Phase 1's optimum sums all the artificials, so on these pairs it
+    exceeds FEAS_TOL (about 36 |entry| on the garbling side) while its point
+    meets every row within FEAS_TOL; the LP must not call them infeasible."""
+    hi, lo = _pair_with_factor_entry(entry, left)
+    verdict = orders._factor_lp(hi, lo, left)
+    assert verdict["holds"] is True
+    factor = np.asarray(verdict["factor"])
+    product = factor @ hi if left else hi @ factor
+    assert np.abs(product - lo).max() <= orders.FACTOR_RESIDUAL_TOL
+    assert factor.min() >= -lp._BOUND_SLACK
 
 
 def test_singular_and_non_square_sensors_go_to_the_lp(monkeypatch):

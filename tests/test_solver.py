@@ -84,7 +84,10 @@ def test_capacity_error_raised(monkeypatch):
 def test_exact_residual_mode_reaches_its_residual():
     vf = solve_exact(gen_example("ex1"), residual=1e-3, resolution=10)
     assert max(vf.residuals[-1], vf.grid_residuals[-1]) <= 1e-3
-    assert len(vf.residuals) == vf.horizon
+    assert len(vf.residuals) == len(vf.grid_residuals) == vf.horizon
+    # the LP-certified change is seeded with the grid change, so the stop
+    # rule needs only the first
+    assert all(r >= g for r, g in zip(vf.residuals, vf.grid_residuals))
 
 
 def test_exact_residual_warm_start_below_grid_floor():
@@ -94,7 +97,10 @@ def test_exact_residual_warm_start_below_grid_floor():
     and the exact backups reach the target."""
     vf = solve_exact(gen_example("ex1"), residual=1e-5, resolution=6)
     assert max(vf.residuals[-1], vf.grid_residuals[-1]) <= 1e-5
-    assert len(vf.residuals) == vf.horizon
+    assert len(vf.residuals) == len(vf.grid_residuals) == vf.horizon
+    # the LP-certified change is seeded with the grid change, so the stop
+    # rule needs only the first
+    assert all(r >= g for r, g in zip(vf.residuals, vf.grid_residuals))
 
 
 # ---------------------------------------------------------------------------
